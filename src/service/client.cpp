@@ -251,19 +251,15 @@ Expected<Frame> Client::rpc(MsgType expect,
 Status Client::hello(const std::string& client_name) {
   client_name_ = client_name;
   Hello msg;
-  msg.version = hello_version_;
   msg.client_name = client_name;
   auto reply = rpc(MsgType::kHelloAck,
                    encode_frame(MsgType::kHello, msg.encode()));
   if (!reply) return reply.status();
   auto ack = HelloAck::decode(*reply);
   if (!ack) return ack.status();
-  // The daemon answers with min(our offer, its version); anything
-  // outside [kMinProtocolVersion, offer] is a server we can't speak to.
-  if (ack->version < kMinProtocolVersion || ack->version > hello_version_)
+  if (ack->version != kProtocolVersion)
     return Status(StatusCode::kNotSupported,
                   "server speaks protocol v" + std::to_string(ack->version));
-  negotiated_version_ = ack->version;
   epoch_ = ack->epoch;
   return Status::ok();
 }
@@ -304,7 +300,7 @@ Status Client::try_reconnect(const Status& cause) {
     const bool epoch_changed = prev_epoch != 0 && epoch_ != prev_epoch;
     if (epoch_changed) ++resume_stats_.epoch_changes;
     // Tick-based gap math needs proof it's the same daemon process; a
-    // pre-v3 daemon (epoch 0) can't give it, so its gaps are unknown.
+    // daemon advertising epoch 0 can't give it, so its gaps are unknown.
     const bool gap_quantifiable = !epoch_changed && prev_epoch != 0;
     bool wire_died = false;
     for (RecordedSub& sub : recorded_subs_) {
@@ -420,10 +416,6 @@ Expected<SubscribeAck> Client::subscribe(const Subscribe& spec) {
 
 Expected<AggSubscribeAck> Client::do_subscribe_aggregate(
     const AggSubscribe& spec) {
-  if (negotiated_version_ < 2) {
-    return make_error(StatusCode::kNotSupported,
-                      "aggregate streams need protocol v2");
-  }
   auto reply = rpc(MsgType::kSubscribeAggregateAck,
                    encode_frame(MsgType::kSubscribeAggregate, spec.encode()));
   if (!reply) return reply.status();

@@ -12,7 +12,7 @@
 // the client re-dials through a caller-supplied connection factory
 // under bounded exponential backoff with deterministic jitter,
 // re-handshakes, and re-subscribes its recorded subscription set. The
-// v3 session epoch plus the per-subscription sequence/tick tail lets
+// session epoch plus the per-subscription sequence/tick tail lets
 // the resumed client account for the outage exactly: same epoch ->
 // the precise number of missed samples; changed epoch (daemon
 // restarted) -> an explicit unknown gap. An RPC interrupted by a
@@ -86,7 +86,7 @@ class Client {
   /// Join (or create) a shared subscription; the ack's shared_key_id
   /// tells you whether you coalesced onto an existing one.
   Expected<SubscribeAck> subscribe(const Subscribe& spec);
-  /// v2: join (or create) an aggregated stream — a merged per-core-type
+  /// Join (or create) an aggregated stream — a merged per-core-type
   /// rendition with min/max/avg/σ statistics across the daemon's
   /// downstream tree (or the single local reading on a leaf daemon).
   Expected<AggSubscribeAck> subscribe_aggregate(const AggSubscribe& spec);
@@ -124,18 +124,12 @@ class Client {
                         ReconnectConfig config = {});
   /// Reconnect/gap accounting (all zeros when reconnect is off).
   const ResumeStats& resume_stats() const { return resume_stats_; }
-  /// The daemon's session epoch from HelloAck (0 from a v1/v2 daemon).
+  /// The daemon's session epoch from HelloAck (0 before the handshake).
   std::uint64_t epoch() const { return epoch_; }
   /// Current subscription id of the recorded subscription originally
   /// acked with `original_sub_id` (it changes on resume); 0 when the
   /// subscription is gone or unknown.
   std::uint32_t current_subscription_id(std::uint32_t original_sub_id) const;
-
-  /// Version to offer in Hello (defaults to kProtocolVersion; the
-  /// compat tests dial it down to speak v1 at a v2 daemon).
-  void set_hello_version(std::uint32_t version) { hello_version_ = version; }
-  /// What HelloAck negotiated — min(offered, daemon's version).
-  std::uint32_t negotiated_version() const { return negotiated_version_; }
 
   /// Raw received-byte log for the determinism tests (every byte the
   /// daemon sent us, in order), captured before frame reassembly.
@@ -174,7 +168,7 @@ class Client {
   /// Gap/sequence accounting for one delivered (agg)sample.
   void note_sample(std::uint32_t sub_id, std::uint64_t tick,
                    std::uint64_t seq);
-  /// Echo a Ping (v3 liveness; best effort, errors ignored).
+  /// Echo a Ping (liveness; best effort, errors ignored).
   void answer_ping(const Frame& frame);
   /// The reconnect state machine; returns ok when a resume succeeded.
   Status try_reconnect(const Status& cause);
@@ -188,8 +182,6 @@ class Client {
   std::deque<WireSample> samples_;
   std::deque<AggSample> agg_samples_;
   std::string goodbye_reason_;
-  std::uint32_t hello_version_ = kProtocolVersion;
-  std::uint32_t negotiated_version_ = kProtocolVersion;
   bool capture_bytes_ = false;
   std::vector<std::uint8_t> captured_bytes_;
 

@@ -40,8 +40,8 @@ void patch_subscription_id(std::vector<std::uint8_t>& frame,
   }
 }
 
-/// Overwrite the trailing u64 sequence number of a v3 sample frame
-/// (both v3 sample shapes encode seq LAST for exactly this reason).
+/// Overwrite the trailing u64 sequence number of a sample frame (both
+/// sample types encode seq LAST for exactly this reason).
 void patch_sequence_tail(std::vector<std::uint8_t>& frame, std::uint64_t seq) {
   const std::size_t base = frame.size() - 8;
   for (int i = 0; i < 8; ++i) {
@@ -266,19 +266,12 @@ void Daemon::dispatch(ClientState& client, const Frame& frame) {
     case MsgType::kRead: on_read(client, frame); return;
     case MsgType::kSubscribe: on_subscribe(client, frame); return;
     case MsgType::kSubscribeAggregate:
-      if (client.version < 2) {
-        ++stats_.protocol_errors;
-        enqueue_error(client, frame.type,
-                      make_error(StatusCode::kNotSupported,
-                                 "SubscribeAggregate requires protocol v2"));
-        return;
-      }
       on_subscribe_aggregate(client, frame);
       return;
     case MsgType::kUnsubscribe: on_unsubscribe(client, frame); return;
     case MsgType::kGetStats: on_get_stats(client, frame); return;
     case MsgType::kClose: on_close(client, frame); return;
-    case MsgType::kPing: {  // v3 liveness probe from the client: echo it
+    case MsgType::kPing: {  // liveness probe from the client: echo it
       auto msg = Ping::decode(frame);
       if (!msg) {
         ++stats_.protocol_errors;
@@ -317,29 +310,23 @@ void Daemon::on_hello(ClientState& client, const Frame& frame) {
     client.closing = true;
     return;
   }
-  if (msg->version < kMinProtocolVersion || msg->version > kProtocolVersion) {
+  if (msg->version != kProtocolVersion) {
     ++stats_.protocol_errors;
     enqueue_error(
         client, frame.type,
         make_error(StatusCode::kNotSupported,
                    str_format("protocol version %u not supported (daemon "
-                              "speaks %u..%u)",
-                              msg->version, kMinProtocolVersion,
-                              kProtocolVersion)));
+                              "speaks %u)",
+                              msg->version, kProtocolVersion)));
     client.closing = true;
     return;
   }
-  // Serve down-level clients at their version: a v1 client keeps the
-  // exact v1 message shapes and never sees a v2-only frame. (A client
-  // from the future downgrades by offering a lower version.)
-  client.version = msg->version;
   client.hello_done = true;
   HelloAck ack;
-  ack.version = client.version;
   ack.client_id = client.id;
   ack.server_name = config_.name;
-  ack.epoch = config_.epoch;  // dropped by encode() for pre-v3 peers
-  enqueue(client, MsgType::kHelloAck, ack.encode(client.version));
+  ack.epoch = config_.epoch;
+  enqueue(client, MsgType::kHelloAck, ack.encode());
 }
 
 Expected<int> Daemon::build_eventset(TargetKind kind, std::int64_t target,
@@ -752,7 +739,7 @@ void Daemon::on_get_stats(ClientState& client, const Frame& frame) {
   reply.downstreams = static_cast<std::uint32_t>(downstreams_.size());
   reply.agg_subscriptions = static_cast<std::uint32_t>(agg_subs_.size());
   reply.agg_samples_delivered = stats_.agg_samples_delivered;
-  enqueue(client, MsgType::kStatsReply, reply.encode(client.version));
+  enqueue(client, MsgType::kStatsReply, reply.encode());
 }
 
 void Daemon::on_close(ClientState& client, const Frame& frame) {
@@ -820,11 +807,9 @@ void Daemon::deliver(const std::vector<std::vector<std::uint8_t>>& templates,
   const auto run_shard = [&](std::size_t s) {
     for (const Delivery* d : by_shard[s]) {
       ClientState* client = clients_by_id_.find(d->client_id)->second;
-      const bool v3 = client->version >= 3;
-      std::vector<std::uint8_t> frame =
-          templates[v3 ? d->template_v3 : d->template_v2];
+      std::vector<std::uint8_t> frame = templates[d->template_index];
       patch_subscription_id(frame, d->subscription_id);
-      if (v3) patch_sequence_tail(frame, d->seq);
+      patch_sequence_tail(frame, d->seq);
       client->out.push_back({std::move(frame), 0});
       ++counters[s].frames;
       if (d->aggregate) {
@@ -909,28 +894,24 @@ void Daemon::serve_subscriptions() {
     }
   }
 
-  // Batched fan-out: ONE template frame per due read per frame shape
+  // Batched fan-out: ONE template frame per due read per message type
   // (the subscription id — the first payload field — is patched per
-  // rider at delivery, as is the v3 sequence tail), instead of a full
-  // encode per subscriber. Template slots 4*i + {0,1,2,3} hold read
-  // i's WireSample-v2 / WireSample-v3 / AggSample-v2 / AggSample-v3
-  // rendition; shapes no rider wants stay empty. Encoding is pure, so
-  // it parallelizes across due reads (clients_by_id_ is read-only
-  // during the encode stage).
-  std::vector<std::vector<std::uint8_t>> templates(due.size() * 4);
+  // rider at delivery, as is the trailing sequence number), instead of
+  // a full encode per subscriber. Template slots 2*i + {0,1} hold read
+  // i's WireSample / AggSample rendition; a type no rider wants stays
+  // empty. Encoding is pure, so it parallelizes across due reads.
+  std::vector<std::vector<std::uint8_t>> templates(due.size() * 2);
   const auto encode_templates = [&](std::size_t i) {
     const DueRead& read = due[i];
-    bool want[4] = {false, false, false, false};
+    bool want_sample = false;
+    bool want_agg = false;
     for (const Rider& rider : read.sub->subscribers) {
-      const auto it = clients_by_id_.find(rider.client_id);
-      const bool v3 =
-          it != clients_by_id_.end() && it->second->version >= 3;
-      want[(rider.aggregate ? 2 : 0) + (v3 ? 1 : 0)] = true;
+      (rider.aggregate ? want_agg : want_sample) = true;
     }
-    if (want[0] || want[1]) {
+    if (want_sample) {
       WireSample sample;
       sample.subscription_id = 0;  // patched per rider
-      sample.seq = 0;              // patched per rider (v3)
+      sample.seq = 0;              // patched per rider
       sample.tick = stats_.ticks;
       sample.t_seconds = t_seconds;
       sample.values = read.values;
@@ -939,17 +920,14 @@ void Daemon::serve_subscriptions() {
       sample.package_temp_c = temp;
       sample.package_power_w = power;
       sample.parts = read.parts;
-      if (want[0])
-        templates[4 * i] = encode_frame(MsgType::kSample, sample.encode(2));
-      if (want[1])
-        templates[4 * i + 1] = encode_frame(MsgType::kSample, sample.encode(3));
+      templates[2 * i] = encode_frame(MsgType::kSample, sample.encode());
     }
-    if (want[2] || want[3]) {
+    if (want_agg) {
       // The leaf rendition of the aggregate stream: one contributor,
       // so every statistic collapses onto the local reading.
       AggSample agg;
       agg.subscription_id = 0;  // patched per rider
-      agg.seq = 0;              // patched per rider (v3)
+      agg.seq = 0;              // patched per rider
       agg.tick = stats_.ticks;
       agg.t_seconds = t_seconds;
       agg.complete = read.ok;
@@ -963,10 +941,7 @@ void Daemon::serve_subscriptions() {
         if (s < read.parts.size()) slot.per_core_type = read.parts[s];
         std::sort(slot.per_core_type.begin(), slot.per_core_type.end());
       }
-      if (want[2])
-        templates[4 * i + 2] = encode_frame(MsgType::kAggSample, agg.encode(2));
-      if (want[3])
-        templates[4 * i + 3] = encode_frame(MsgType::kAggSample, agg.encode(3));
+      templates[2 * i + 1] = encode_frame(MsgType::kAggSample, agg.encode());
     }
   };
   if (encode_pool_ != nullptr) {
@@ -983,8 +958,7 @@ void Daemon::serve_subscriptions() {
     for (Rider& rider : due[i].sub->subscribers) {
       ++rider.seq;
       deliveries.push_back({rider.client_id, rider.subscription_id,
-                            rider.aggregate ? 4 * i + 2 : 4 * i,
-                            rider.aggregate ? 4 * i + 3 : 4 * i + 1,
+                            2 * i + (rider.aggregate ? 1 : 0),
                             rider.aggregate, rider.seq});
     }
   }
@@ -1104,28 +1078,15 @@ void Daemon::serve_aggregates() {
     if (!any_fresh) continue;  // nothing new — no sample this tick
     AggSample merged = merge_aggregate(agg);
     merged.subscription_id = 0;  // patched per rider
-    merged.seq = 0;              // patched per rider (v3)
+    merged.seq = 0;              // patched per rider
     merged.tick = stats_.ticks;
     merged.t_seconds = t_seconds;
-    bool want_v2 = false;
-    bool want_v3 = false;
-    for (const Rider& rider : agg.subscribers) {
-      const auto it = clients_by_id_.find(rider.client_id);
-      const bool v3 = it != clients_by_id_.end() && it->second->version >= 3;
-      (v3 ? want_v3 : want_v2) = true;
-    }
-    const std::size_t v2_index = templates.size();
-    templates.push_back(want_v2 ? encode_frame(MsgType::kAggSample,
-                                               merged.encode(2))
-                                : std::vector<std::uint8_t>{});
-    const std::size_t v3_index = templates.size();
-    templates.push_back(want_v3 ? encode_frame(MsgType::kAggSample,
-                                               merged.encode(3))
-                                : std::vector<std::uint8_t>{});
+    const std::size_t index = templates.size();
+    templates.push_back(encode_frame(MsgType::kAggSample, merged.encode()));
     for (Rider& rider : agg.subscribers) {
       ++rider.seq;
-      deliveries.push_back({rider.client_id, rider.subscription_id, v2_index,
-                            v3_index, true, rider.seq});
+      deliveries.push_back(
+          {rider.client_id, rider.subscription_id, index, true, rider.seq});
     }
     for (DownstreamState& st : agg.downstream) st.fresh = false;
   }
@@ -1192,7 +1153,6 @@ void Daemon::enforce_liveness() {
     if (!client->conn->is_open() || client->closing || !client->hello_done) {
       continue;
     }
-    if (client->version < 3) continue;  // pre-v3 peers have no Ping verb
     if (client->ping_outstanding) {
       if (stats_.ticks - client->ping_sent_tick <
           config_.ping_interval_ticks) {

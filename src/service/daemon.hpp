@@ -35,7 +35,7 @@
 // which is what the shards-1-vs-4-vs-16 byte-determinism goldens pin.
 //
 // Aggregation tree: add_downstream() hands the daemon a service::Client
-// connected to another hetpapid. A v2 SubscribeAggregate on a daemon
+// connected to another hetpapid. A SubscribeAggregate on a daemon
 // *without* downstreams (a leaf) rides the same coalesced shared
 // subscription as a qualified Subscribe and streams AggSample frames
 // with count=1 statistics — so a merged aggregate is, by construction,
@@ -90,13 +90,13 @@ struct DaemonConfig {
   /// Attach package temperature / power (via a telemetry::Sampler over
   /// the kernel) to every streamed sample.
   bool include_telemetry = false;
-  /// Session epoch advertised in every v3 HelloAck. A reconnecting
+  /// Session epoch advertised in every HelloAck. A reconnecting
   /// client compares epochs to tell "same daemon process" (tick-based
   /// gap accounting is exact) from "daemon restarted" (gap unknowable).
   /// Caller-provided rather than derived from wall clock or a global
   /// counter so runs stay byte-deterministic.
   std::uint64_t epoch = 1;
-  /// Liveness: ping every helloed v3 client whose last traffic is this
+  /// Liveness: ping every helloed client whose last traffic is this
   /// many ticks old (0 = pings disabled). A client that misses
   /// `ping_max_missed` consecutive ping deadlines is dropped even if it
   /// still holds subscriptions — a half-open peer must not hold
@@ -199,7 +199,7 @@ class Daemon {
     std::uint32_t client_id = 0;
     std::uint32_t subscription_id = 0;
     bool aggregate = false;
-    /// v3 delivery sequence for THIS rider, bumped serially while the
+    /// Delivery sequence for THIS rider, bumped serially while the
     /// delivery list is built (first delivered sample carries seq 1).
     /// A resubscribe after reconnect is a new rider, so the client's
     /// expectation of a fresh sequence holds by construction.
@@ -257,15 +257,13 @@ class Daemon {
     std::uint32_t id = 0;
     /// Which fan-out shard delivers to this client.
     std::size_t shard = 0;
-    /// Negotiated protocol version (min of client's and ours).
-    std::uint32_t version = kProtocolVersion;
     std::unique_ptr<Connection> conn;
     FrameReader reader;
     bool hello_done = false;
     /// Flush-then-close: set after Close/Goodbye.
     bool closing = false;
     std::uint64_t last_activity_tick = 0;
-    // Liveness (v3 clients, when ping_interval_ticks > 0): traffic in
+    // Liveness (when ping_interval_ticks > 0): traffic in
     // either direction counts as proof of life; otherwise a Ping goes
     // out and the peer has one interval per deadline to answer.
     std::uint64_t ping_sent_tick = 0;
@@ -280,15 +278,12 @@ class Daemon {
   };
 
   /// One pending frame hand-off of the batched fan-out: copy the
-  /// template matching the rider's protocol version, patch bytes [5,9)
-  /// with the subscription id (and, v3, the trailing 8-byte seq),
-  /// enqueue. The v2/v3 template pair exists because the v3 shapes
-  /// carry the sequence tail; a slot a rider never picks stays empty.
+  /// rider's template, patch bytes [5,9) with the subscription id and
+  /// the trailing 8-byte seq, enqueue.
   struct Delivery {
     std::uint32_t client_id = 0;
     std::uint32_t subscription_id = 0;
-    std::size_t template_v2 = 0;
-    std::size_t template_v3 = 0;
+    std::size_t template_index = 0;
     bool aggregate = false;
     std::uint64_t seq = 0;
   };
@@ -305,7 +300,7 @@ class Daemon {
   /// Re-dial, re-handshake, and re-subscribe dead downstream legs that
   /// have a factory and are past their backoff deadline.
   void heal_downstreams();
-  /// Ping v3 clients that have been silent too long; drop the ones that
+  /// Ping clients that have been silent too long; drop the ones that
   /// blew ping_max_missed deadlines.
   void enforce_liveness();
 

@@ -228,12 +228,12 @@ Expected<Hello> Hello::decode(const Frame& frame) {
   return m;
 }
 
-std::vector<std::uint8_t> HelloAck::encode(std::uint32_t version_out) const {
+std::vector<std::uint8_t> HelloAck::encode() const {
   Writer w;
   w.u32(version);
   w.u32(client_id);
   w.str(server_name);
-  if (version_out >= 3) w.u64(epoch);
+  w.u64(epoch);
   return w.take();
 }
 
@@ -249,12 +249,9 @@ Expected<HelloAck> HelloAck::decode(const Frame& frame) {
   auto name = r.str();
   if (!name) return name.status();
   m.server_name = std::move(*name);
-  // v3 tail, all-or-nothing: a v1/v2 ack ends here.
-  if (r.remaining() != 0) {
-    auto epoch_field = r.u64();
-    if (!epoch_field) return epoch_field.status();
-    m.epoch = *epoch_field;
-  }
+  auto epoch_field = r.u64();
+  if (!epoch_field) return epoch_field.status();
+  m.epoch = *epoch_field;
   HETPAPI_RETURN_IF_ERROR(expect_exhausted(r, "HelloAck"));
   return m;
 }
@@ -457,7 +454,7 @@ Expected<Unsubscribe> Unsubscribe::decode(const Frame& frame) {
   return m;
 }
 
-std::vector<std::uint8_t> WireSample::encode(std::uint32_t version) const {
+std::vector<std::uint8_t> WireSample::encode() const {
   Writer w;
   w.u32(subscription_id);
   w.u64(tick);
@@ -475,7 +472,7 @@ std::vector<std::uint8_t> WireSample::encode(std::uint32_t version) const {
       w.i64(value);
     }
   }
-  if (version >= 3) w.u64(seq);  // LAST: patched at frame end by fan-out
+  w.u64(seq);  // LAST: patched at frame end by fan-out
   return w.take();
 }
 
@@ -524,13 +521,9 @@ Expected<WireSample> WireSample::decode(const Frame& frame) {
     }
     m.parts.push_back(std::move(slot));
   }
-  // v3 tail, all-or-nothing: the slot loop consumes every v2 byte, so
-  // exactly 8 remaining bytes are the sequence number.
-  if (r.remaining() != 0) {
-    auto seq_field = r.u64();
-    if (!seq_field) return seq_field.status();
-    m.seq = *seq_field;
-  }
+  auto seq_field = r.u64();
+  if (!seq_field) return seq_field.status();
+  m.seq = *seq_field;
   HETPAPI_RETURN_IF_ERROR(expect_exhausted(r, "Sample"));
   return m;
 }
@@ -590,7 +583,7 @@ Expected<AggSubscribeAck> AggSubscribeAck::decode(const Frame& frame) {
   return m;
 }
 
-std::vector<std::uint8_t> AggSample::encode(std::uint32_t version) const {
+std::vector<std::uint8_t> AggSample::encode() const {
   Writer w;
   w.u32(subscription_id);
   w.u64(tick);
@@ -610,7 +603,7 @@ std::vector<std::uint8_t> AggSample::encode(std::uint32_t version) const {
       w.i64(value);
     }
   }
-  if (version >= 3) w.u64(seq);  // LAST: patched at frame end by fan-out
+  w.u64(seq);  // LAST: patched at frame end by fan-out
   return w.take();
 }
 
@@ -665,12 +658,9 @@ Expected<AggSample> AggSample::decode(const Frame& frame) {
     }
     m.slots.push_back(std::move(slot));
   }
-  // v3 tail, all-or-nothing (see WireSample::decode).
-  if (r.remaining() != 0) {
-    auto seq_field = r.u64();
-    if (!seq_field) return seq_field.status();
-    m.seq = *seq_field;
-  }
+  auto seq_field = r.u64();
+  if (!seq_field) return seq_field.status();
+  m.seq = *seq_field;
   HETPAPI_RETURN_IF_ERROR(expect_exhausted(r, "AggSample"));
   return m;
 }
@@ -683,7 +673,7 @@ Expected<GetStats> GetStats::decode(const Frame& frame) {
   return GetStats{};
 }
 
-std::vector<std::uint8_t> StatsReply::encode(std::uint32_t version) const {
+std::vector<std::uint8_t> StatsReply::encode() const {
   Writer w;
   w.u64(ticks);
   w.u64(backend_reads);
@@ -696,12 +686,10 @@ std::vector<std::uint8_t> StatsReply::encode(std::uint32_t version) const {
   w.u32(total_subscribers);
   w.u32(clients_dropped_slow);
   w.u32(clients_closed_idle);
-  if (version >= 2) {
-    w.u32(shards);
-    w.u32(downstreams);
-    w.u32(agg_subscriptions);
-    w.u64(agg_samples_delivered);
-  }
+  w.u32(shards);
+  w.u32(downstreams);
+  w.u32(agg_subscriptions);
+  w.u64(agg_samples_delivered);
   return w.take();
 }
 
@@ -731,14 +719,10 @@ Expected<StatsReply> StatsReply::decode(const Frame& frame) {
   HETPAPI_RETURN_IF_ERROR(read_u32(m.total_subscribers));
   HETPAPI_RETURN_IF_ERROR(read_u32(m.clients_dropped_slow));
   HETPAPI_RETURN_IF_ERROR(read_u32(m.clients_closed_idle));
-  // The v2 tail is all-or-nothing: a v1 reply ends here, a v2 reply
-  // carries exactly the four extra fields.
-  if (r.remaining() != 0) {
-    HETPAPI_RETURN_IF_ERROR(read_u32(m.shards));
-    HETPAPI_RETURN_IF_ERROR(read_u32(m.downstreams));
-    HETPAPI_RETURN_IF_ERROR(read_u32(m.agg_subscriptions));
-    HETPAPI_RETURN_IF_ERROR(read_u64(m.agg_samples_delivered));
-  }
+  HETPAPI_RETURN_IF_ERROR(read_u32(m.shards));
+  HETPAPI_RETURN_IF_ERROR(read_u32(m.downstreams));
+  HETPAPI_RETURN_IF_ERROR(read_u32(m.agg_subscriptions));
+  HETPAPI_RETURN_IF_ERROR(read_u64(m.agg_samples_delivered));
   HETPAPI_RETURN_IF_ERROR(expect_exhausted(r, "StatsReply"));
   return m;
 }

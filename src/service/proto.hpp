@@ -10,21 +10,19 @@
 // u32-length-prefixed strings/arrays — no padding, no host-order leaks,
 // so the same byte stream is valid across the loopback and unix-socket
 // transports and across builds (the determinism tests compare raw
-// bytes). Version negotiation happens in Hello/HelloAck: the daemon
-// serves every version in [kMinProtocolVersion, kProtocolVersion] at
-// the client's offered version (a v1 client keeps the exact v1 message
-// shapes) and refuses anything outside that range — a client from the
-// future downgrades by offering a lower version.
+// bytes). The version check happens in Hello/HelloAck: the daemon
+// speaks exactly kProtocolVersion and refuses any other offer, so every
+// message has one wire shape.
 //
 // Message catalogue (see DESIGN.md §9 for the full table):
 //   client -> daemon: Hello, OpenSession, AddEvents, Start, Read,
-//                     Subscribe, Unsubscribe, SubscribeAggregate (v2),
-//                     GetStats, Close, Ping (v3)
+//                     Subscribe, Unsubscribe, SubscribeAggregate,
+//                     GetStats, Close, Ping
 //   daemon -> client: HelloAck, OpenSessionAck, AddEventsAck, StartAck,
 //                     ReadReply, SubscribeAck, UnsubscribeAck, Sample
-//                     (streamed), SubscribeAggregateAck (v2), AggSample
-//                     (streamed, v2), StatsReply, CloseAck, Error,
-//                     Goodbye, Ping/Pong (v3 liveness, either direction)
+//                     (streamed), SubscribeAggregateAck, AggSample
+//                     (streamed), StatsReply, CloseAck, Error, Goodbye,
+//                     Ping/Pong (liveness, either direction)
 #pragma once
 
 #include <cstdint>
@@ -36,18 +34,13 @@
 
 namespace hetpapi::service {
 
-/// Bumped on any wire change. v2 adds the aggregation verbs
-/// (SubscribeAggregate / SubscribeAggregateAck / AggSample) and the
-/// StatsReply sharding/aggregation tail; v3 adds the self-healing
-/// machinery — Ping/Pong liveness, the HelloAck session epoch, and a
-/// per-subscription sequence tail on Sample/AggSample so a resumed
-/// client measures its gap exactly. Everything a v1/v2 client speaks
-/// is unchanged on the wire.
+/// The one version the daemon speaks; bumped on any wire change, and a
+/// Hello offering anything else is refused. v3 carries the aggregation
+/// verbs (SubscribeAggregate / SubscribeAggregateAck / AggSample), the
+/// StatsReply sharding/aggregation fields, Ping/Pong liveness, the
+/// HelloAck session epoch, and a per-subscription sequence number on
+/// Sample/AggSample so a resumed client measures its gap exactly.
 inline constexpr std::uint32_t kProtocolVersion = 3;
-
-/// Oldest version the daemon still serves. A v1 client negotiates down
-/// in HelloAck and sees exactly the v1 message shapes.
-inline constexpr std::uint32_t kMinProtocolVersion = 1;
 
 /// Upper bound on one frame's payload (type byte included); a length
 /// prefix beyond this is a protocol error, not an allocation request.
@@ -75,11 +68,11 @@ enum class MsgType : std::uint8_t {
   kCloseAck = 19,
   kError = 20,
   kGoodbye = 21,
-  // v2 aggregation verbs.
+  // Aggregation verbs.
   kSubscribeAggregate = 22,
   kSubscribeAggregateAck = 23,
   kAggSample = 24,
-  // v3 liveness verbs (either direction; the peer echoes the token).
+  // Liveness verbs (either direction; the peer echoes the token).
   kPing = 25,
   kPong = 26,
 };
@@ -231,15 +224,13 @@ struct HelloAck {
   std::uint32_t version = kProtocolVersion;
   std::uint32_t client_id = 0;
   std::string server_name;
-  /// v3 tail: the daemon's session epoch. A reconnecting client
-  /// compares epochs — same epoch means the same daemon process, so
-  /// tick-based gap accounting across the reconnect is exact; a changed
-  /// epoch means the daemon restarted and the gap is unknowable.
-  /// encode(<=2) omits the field; decode accepts both lengths.
+  /// The daemon's session epoch. A reconnecting client compares
+  /// epochs — same epoch means the same daemon process, so tick-based
+  /// gap accounting across the reconnect is exact; a changed epoch
+  /// means the daemon restarted and the gap is unknowable.
   std::uint64_t epoch = 0;
 
-  std::vector<std::uint8_t> encode(
-      std::uint32_t version_out = kProtocolVersion) const;
+  std::vector<std::uint8_t> encode() const;
   static Expected<HelloAck> decode(const Frame& frame);
 };
 
@@ -343,19 +334,17 @@ struct WireSample {
   /// Per-slot constituent breakdown, flattened as (name, value) pairs
   /// per slot; empty unless the subscription asked for qualified reads.
   std::vector<std::vector<std::pair<std::string, long long>>> parts;
-  /// v3 tail: per-subscription delivery sequence number, starting at 1
-  /// and incremented per delivered sample. Encoded LAST so the daemon's
+  /// Per-subscription delivery sequence number, starting at 1 and
+  /// incremented per delivered sample. Encoded LAST so the daemon's
   /// template fan-out can patch it at frame end (like subscription_id
-  /// at bytes [5,9)) and so the v2 shape is a strict prefix. encode(<=2)
-  /// omits it; decode accepts both lengths.
+  /// at bytes [5,9)).
   std::uint64_t seq = 0;
 
-  std::vector<std::uint8_t> encode(
-      std::uint32_t version = kProtocolVersion) const;
+  std::vector<std::uint8_t> encode() const;
   static Expected<WireSample> decode(const Frame& frame);
 };
 
-/// v2: join (or create) an aggregated stream for one event spec. On a
+/// Join (or create) an aggregated stream for one event spec. On a
 /// leaf daemon this rides the same coalesced shared subscription as a
 /// qualified Subscribe; on a daemon with downstreams it fans the spec
 /// out to every downstream and re-exports the merged stream. Aggregate
@@ -400,7 +389,7 @@ struct SlotStats {
   std::vector<std::pair<std::string, long long>> per_core_type;
 };
 
-/// v2 streamed aggregate record. subscription_id is deliberately the
+/// Streamed aggregate record. subscription_id is deliberately the
 /// first payload field: the daemon encodes one template frame per
 /// aggregate per due tick and patches bytes [5,9) per subscriber.
 struct AggSample {
@@ -411,11 +400,10 @@ struct AggSample {
   /// merge proceeded with a subset (a downstream was stale or dead).
   std::uint8_t complete = 1;
   std::vector<SlotStats> slots;  // one per subscribed event
-  /// v3 tail: per-subscription delivery sequence (see WireSample::seq).
+  /// Per-subscription delivery sequence (see WireSample::seq).
   std::uint64_t seq = 0;
 
-  std::vector<std::uint8_t> encode(
-      std::uint32_t version = kProtocolVersion) const;
+  std::vector<std::uint8_t> encode() const;
   static Expected<AggSample> decode(const Frame& frame);
 };
 
@@ -438,16 +426,13 @@ struct StatsReply {
   std::uint32_t total_subscribers = 0;
   std::uint32_t clients_dropped_slow = 0;
   std::uint32_t clients_closed_idle = 0;
-  // v2 tail: sharding + aggregation accounting. encode(1) omits these
-  // four fields so v1 clients keep decoding the exact v1 shape; decode
-  // accepts both lengths.
+  // Sharding + aggregation accounting.
   std::uint32_t shards = 0;
   std::uint32_t downstreams = 0;
   std::uint32_t agg_subscriptions = 0;
   std::uint64_t agg_samples_delivered = 0;
 
-  std::vector<std::uint8_t> encode(
-      std::uint32_t version = kProtocolVersion) const;
+  std::vector<std::uint8_t> encode() const;
   static Expected<StatsReply> decode(const Frame& frame);
 };
 
@@ -484,7 +469,7 @@ struct Goodbye {
   static Expected<Goodbye> decode(const Frame& frame);
 };
 
-/// v3 liveness probe. Either side may ping; the peer echoes the token
+/// Liveness probe. Either side may ping; the peer echoes the token
 /// in a Pong. The daemon drops a client that leaves N pings unanswered
 /// (the half-dead peer with live subscriptions the idle timeout never
 /// catches).

@@ -361,35 +361,6 @@ TEST(ServiceAggregator, TelemetryBridgeCarriesSumsPartsAndCompleteness) {
             (std::vector<double>{100.0, 200.0}));
 }
 
-// --- protocol version compatibility ----------------------------------------
-
-TEST(ServiceAggregator, V1ClientIsServedButAggregateVerbsAreGated) {
-  Leaf leaf;
-  ASSERT_TRUE(leaf.init().is_ok());
-  Client v1(leaf.transport->connect());
-  v1.set_hello_version(1);
-  ASSERT_TRUE(v1.hello("legacy").is_ok());
-  EXPECT_EQ(v1.negotiated_version(), 1u);
-
-  // The v1 surface still works end to end...
-  Subscribe spec;
-  spec.target_kind = TargetKind::kThread;
-  spec.target = leaf.tid;
-  spec.events = {"PAPI_TOT_INS"};
-  ASSERT_TRUE(v1.subscribe(spec).has_value());
-  leaf.tick(10);
-  EXPECT_EQ(v1.take_samples().size(), 1u);
-  // ...including StatsReply in its exact v1 shape (no v2 tail).
-  auto stats = v1.stats();
-  ASSERT_TRUE(stats.has_value());
-  EXPECT_EQ(stats->shards, 0u);
-
-  // The v2 verb is refused client-side before touching the wire.
-  auto refused = v1.subscribe_aggregate(agg_spec(leaf.tid));
-  ASSERT_FALSE(refused.has_value());
-  EXPECT_EQ(refused.status().code(), StatusCode::kNotSupported);
-}
-
 // --- determinism across shard counts ---------------------------------------
 
 std::vector<std::vector<std::uint8_t>> run_tree_scenario(std::size_t shards) {

@@ -6,6 +6,7 @@
 
 #include <chrono>
 #include <memory>
+#include <ostream>
 #include <string>
 #include <vector>
 
@@ -237,12 +238,23 @@ TEST_F(ComponentTest, SysinfoRejectsMultiplexAndRaplRejectsOverflow) {
 // Sysinfo readings on a given machine model are a pure function of the
 // simulated schedule: two identical runs agree bit-for-bit, and the cpu
 // time matches the busy time the kernel actually scheduled.
-class SysinfoMachineTest
-    : public ::testing::TestWithParam<cpumodel::MachineSpec (*)()> {};
+//
+// The parameter prints as its family name, so the registered test names
+// carry no function addresses and stay the same across builds and runs.
+struct MachineFamily {
+  const char* name;
+  cpumodel::MachineSpec (*make)();
+};
+
+void PrintTo(const MachineFamily& family, std::ostream* os) {
+  *os << family.name;
+}
+
+class SysinfoMachineTest : public ::testing::TestWithParam<MachineFamily> {};
 
 TEST_P(SysinfoMachineTest, DeterministicAcrossIdenticalRuns) {
   const auto run_once = [&] {
-    SimKernel kernel(GetParam()());
+    SimKernel kernel(GetParam().make());
     SimBackend backend(&kernel);
     FdLeakGuard leak_guard(&backend);
     PhaseSpec phase;
@@ -277,11 +289,11 @@ TEST_P(SysinfoMachineTest, DeterministicAcrossIdenticalRuns) {
 }
 
 INSTANTIATE_TEST_SUITE_P(BothFamilies, SysinfoMachineTest,
-                         ::testing::Values(&cpumodel::raptor_lake_i7_13700,
-                                           &cpumodel::orangepi800_rk3399),
-                         [](const auto& param) {
-                           return param.index == 0 ? "intel" : "arm";
-                         });
+                         ::testing::Values(
+                             MachineFamily{"intel",
+                                           &cpumodel::raptor_lake_i7_13700},
+                             MachineFamily{"arm",
+                                           &cpumodel::orangepi800_rk3399}));
 
 }  // namespace
 }  // namespace hetpapi

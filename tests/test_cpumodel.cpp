@@ -4,6 +4,7 @@
 #include <gtest/gtest.h>
 
 #include <cmath>
+#include <ostream>
 
 #include "cpumodel/dvfs.hpp"
 #include "cpumodel/machine.hpp"
@@ -15,12 +16,36 @@ namespace {
 
 // --- presets -----------------------------------------------------------------
 
-class PresetTest : public ::testing::TestWithParam<MachineSpec> {};
+// A preset factory under its name. It prints as the name, so the test
+// names ctest registers for it carry no heap or image addresses (which a
+// by-value MachineSpec would dump as raw bytes) and stay the same across
+// builds and runs.
+struct NamedPreset {
+  const char* name;
+  MachineSpec (*make)();
+};
 
-TEST_P(PresetTest, Validates) {
-  EXPECT_TRUE(GetParam().validate().is_ok())
-      << GetParam().validate().to_string();
+void PrintTo(const NamedPreset& preset, std::ostream* os) {
+  *os << preset.name;
 }
+
+class PresetValidationTest : public ::testing::TestWithParam<NamedPreset> {};
+
+TEST_P(PresetValidationTest, Validates) {
+  const MachineSpec m = GetParam().make();
+  EXPECT_EQ(m.name, GetParam().name);
+  EXPECT_TRUE(m.validate().is_ok()) << m.validate().to_string();
+}
+
+INSTANTIATE_TEST_SUITE_P(
+    AllMachines, PresetValidationTest,
+    ::testing::Values(
+        NamedPreset{"raptor_lake_i7_13700", &raptor_lake_i7_13700},
+        NamedPreset{"orangepi800_rk3399", &orangepi800_rk3399},
+        NamedPreset{"homogeneous_xeon", [] { return homogeneous_xeon(); }},
+        NamedPreset{"arm_three_type", &arm_three_type}));
+
+class PresetTest : public ::testing::TestWithParam<MachineSpec> {};
 
 TEST_P(PresetTest, CoreTypePartitionCoversAllCpus) {
   const MachineSpec& m = GetParam();

@@ -8,7 +8,9 @@
 //      encode -> frame -> FrameReader -> decode -> re-encode with
 //      byte-identical payloads. Encoding is canonical, so comparing
 //      bytes also proves field fidelity without NaN-equality traps.
-//   2. Corruption: truncations, single-bit flips, and oversized or
+//   2. Corruption: a truncated payload never decodes (every message
+//      has exactly one wire shape, so no strict prefix of a valid
+//      payload is itself valid); single-bit flips and oversized or
 //      zero length prefixes must yield a decode error or a canonical
 //      re-encode — never a crash, over-read, or unbounded allocation
 //      (the suite runs under ASan/UBSan in the chaos CI shard).
@@ -107,28 +109,6 @@ std::optional<Bytes> redecode(const Frame& frame) {
   return m->encode();
 }
 
-/// StatsReply is a two-shape message: decode accepts the v1 and
-/// v2 lengths, so the canonical re-encode tries both versions.
-std::optional<Bytes> redecode_stats(const Frame& frame) {
-  auto m = StatsReply::decode(frame);
-  if (!m.has_value()) return std::nullopt;
-  Bytes v2 = m->encode(2);
-  if (v2 == frame.payload) return v2;
-  return m->encode(1);
-}
-
-/// HelloAck / WireSample / AggSample grew a v3 tail (epoch / sequence),
-/// so decode accepts both the v2-prefix and v3 shapes; the canonical
-/// re-encode tries the v3 rendition first and falls back to v2.
-template <typename M>
-std::optional<Bytes> redecode_v2_v3(const Frame& frame) {
-  auto m = M::decode(frame);
-  if (!m.has_value()) return std::nullopt;
-  Bytes v3 = m->encode(3);
-  if (v3 == frame.payload) return v3;
-  return m->encode(2);
-}
-
 struct Shape {
   MsgType type;
   Bytes (*gen)(Rng&);
@@ -151,10 +131,9 @@ const Shape kShapes[] = {
        m.client_id = static_cast<std::uint32_t>(rng());
        m.server_name = rand_str(rng);
        m.epoch = rng();
-       // Both wire shapes fuzz: the bare v2 body and the v3 epoch tail.
-       return m.encode(rng() % 2 == 0 ? 2 : 3);
+       return m.encode();
      },
-     &redecode_v2_v3<HelloAck>},
+     &redecode<HelloAck>},
     {MsgType::kOpenSession,
      [](Rng& rng) {
        OpenSession m;
@@ -247,10 +226,9 @@ const Shape kShapes[] = {
        const std::size_t slots = rng() % 3;
        for (std::size_t i = 0; i < slots; ++i) m.parts.push_back(rand_parts(rng));
        m.seq = rng();
-       // Both wire shapes fuzz: with and without the v3 sequence tail.
-       return m.encode(rng() % 2 == 0 ? 2 : 3);
+       return m.encode();
      },
-     &redecode_v2_v3<WireSample>},
+     &redecode<WireSample>},
     {MsgType::kSubscribeAggregate,
      [](Rng& rng) {
        AggSubscribe m;
@@ -290,10 +268,9 @@ const Shape kShapes[] = {
          m.slots.push_back(std::move(slot));
        }
        m.seq = rng();
-       // Both wire shapes fuzz: with and without the v3 sequence tail.
-       return m.encode(rng() % 2 == 0 ? 2 : 3);
+       return m.encode();
      },
-     &redecode_v2_v3<AggSample>},
+     &redecode<AggSample>},
     {MsgType::kGetStats, [](Rng&) { return GetStats{}.encode(); },
      &redecode<GetStats>},
     {MsgType::kStatsReply,
@@ -314,10 +291,9 @@ const Shape kShapes[] = {
        m.downstreams = static_cast<std::uint32_t>(rng());
        m.agg_subscriptions = static_cast<std::uint32_t>(rng());
        m.agg_samples_delivered = rng();
-       // Both wire shapes fuzz: the v1 body and the v2 tail.
-       return m.encode(rng() % 2 == 0 ? 1 : 2);
+       return m.encode();
      },
-     &redecode_stats},
+     &redecode<StatsReply>},
     {MsgType::kClose, [](Rng&) { return Close{}.encode(); },
      &redecode<Close>},
     {MsgType::kCloseAck, [](Rng&) { return CloseAck{}.encode(); },
@@ -397,13 +373,9 @@ TEST(ProtoFuzz, TruncationsNeverCrashAndNeverDecodeNonCanonically) {
       SCOPED_TRACE(std::string(to_string(shape.type)) + " cut to " +
                    std::to_string(frame.payload.size()) + " of " +
                    std::to_string(payload.size()));
-      const auto reencoded = shape.redec(frame);
-      if (reencoded.has_value()) {
-        // Only acceptable when the truncation landed exactly on a
-        // shorter valid wire shape (StatsReply's v1 boundary, or the
-        // v2 prefix of a v3 HelloAck/Sample/AggSample).
-        EXPECT_EQ(*reencoded, frame.payload);
-      }
+      // One wire shape per message: a strictly shorter payload is
+      // never a valid frame, not even one that ends on a field boundary.
+      EXPECT_FALSE(shape.redec(frame).has_value());
     }
   }
 }

@@ -1,6 +1,6 @@
 // Client auto-reconnect end to end: a severed link heals through the
 // connection factory under deterministic backoff, the recorded
-// subscription set is replayed, and the v3 epoch + sequence/tick tail
+// subscription set is replayed, and the session epoch + sequence/tick tail
 // turns the outage into exact accounting — same epoch means the client
 // knows precisely how many samples it missed; a changed epoch (daemon
 // restart) is an explicit unknown gap, never a silent guess. RPCs

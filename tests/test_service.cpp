@@ -346,27 +346,34 @@ TEST(ServiceDaemon, RequestBeforeHelloIsRefused) {
 TEST(ServiceDaemon, VersionMismatchIsRefused) {
   Harness h;
   ASSERT_TRUE(h.init().is_ok());
-  auto conn = h.transport->connect();
-  Hello hello;
-  hello.version = 999;
-  hello.client_name = "from the future";
-  const auto frame = encode_frame(MsgType::kHello, hello.encode());
-  ASSERT_TRUE(conn->send(frame.data(), frame.size()).has_value());
-  h.daemon->poll();
+  // The daemon speaks exactly kProtocolVersion: older and newer offers
+  // alike get an Error and a hang-up, never a down-level session.
+  for (const std::uint32_t offered : {1u, 2u, 4u, 999u}) {
+    SCOPED_TRACE("offered v" + std::to_string(offered));
+    const auto errors_before = h.daemon->stats().protocol_errors;
+    auto conn = h.transport->connect();
+    Hello hello;
+    hello.version = offered;
+    hello.client_name = "mismatched";
+    const auto frame = encode_frame(MsgType::kHello, hello.encode());
+    ASSERT_TRUE(conn->send(frame.data(), frame.size()).has_value());
+    h.daemon->poll();
 
-  std::vector<std::uint8_t> bytes;
-  (void)conn->receive(bytes);
-  FrameReader reader;
-  reader.feed(bytes);
-  auto reply = reader.next();
-  ASSERT_TRUE(reply.has_value());
-  ASSERT_EQ(reply->type, MsgType::kError);
-  auto err = WireError::decode(*reply);
-  ASSERT_TRUE(err.has_value());
-  EXPECT_EQ(err->to_status().code(), StatusCode::kNotSupported);
-  // The daemon hangs up on a version mismatch.
-  h.daemon->poll();
-  EXPECT_EQ(h.daemon->client_count(), 0u);
+    std::vector<std::uint8_t> bytes;
+    (void)conn->receive(bytes);
+    FrameReader reader;
+    reader.feed(bytes);
+    auto reply = reader.next();
+    ASSERT_TRUE(reply.has_value());
+    ASSERT_EQ(reply->type, MsgType::kError);
+    auto err = WireError::decode(*reply);
+    ASSERT_TRUE(err.has_value());
+    EXPECT_EQ(err->to_status().code(), StatusCode::kNotSupported);
+    EXPECT_EQ(h.daemon->stats().protocol_errors, errors_before + 1);
+    // The daemon hangs up on a version mismatch.
+    h.daemon->poll();
+    EXPECT_EQ(h.daemon->client_count(), 0u);
+  }
 }
 
 TEST(ServiceDaemon, UnknownEventFailsAtomicallyAndSessionSurvives) {
