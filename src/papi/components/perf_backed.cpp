@@ -257,13 +257,12 @@ Status PerfBackedComponent::read(const ComponentState& state, bool scale,
                                  std::vector<std::uint8_t>* valid) const {
   // Gather per-slot raw/scaled values across all groups. The fan-out
   // (which leader fds to read, where each returned value lands) is
-  // pre-resolved into a read plan; with cache_read_plan off it is
-  // rebuilt on every call, the historical behaviour the overhead bench
-  // compares against.
+  // pre-resolved into a read plan, built on first use and rebuilt only
+  // after the slot layout changes.
   const PerfState& ps = perf_state(state);
   if (!ps.read_plan_valid) {
     build_read_plan(ps);
-    ps.read_plan_valid = env_.config->cache_read_plan;
+    ps.read_plan_valid = true;
   }
 
   const int retries = env_.config->transient_retry_attempts;

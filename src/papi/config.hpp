@@ -40,11 +40,6 @@ struct LibraryConfig {
   /// Seqlock retry budget per page read before falling back to the fd
   /// path; generous, since a stuck-odd page means a dead writer.
   int rdpmc_max_retries = 16;
-  /// Cache the per-EventSet group read fan-out (which leader fds to
-  /// read, which native slot each returned value lands in) instead of
-  /// re-deriving it on every read/stop/accum. Off reproduces the
-  /// per-call recomputation cost the overhead bench quantifies.
-  bool cache_read_plan = true;
   /// Attempt budget for transient (EINTR/EAGAIN -> kInterrupted)
   /// syscall failures: every backend call site retries up to this many
   /// total attempts before surfacing the error.

@@ -37,18 +37,19 @@ TEST_P(PresetValidationTest, Validates) {
   EXPECT_TRUE(m.validate().is_ok()) << m.validate().to_string();
 }
 
-INSTANTIATE_TEST_SUITE_P(
-    AllMachines, PresetValidationTest,
-    ::testing::Values(
-        NamedPreset{"raptor_lake_i7_13700", &raptor_lake_i7_13700},
-        NamedPreset{"orangepi800_rk3399", &orangepi800_rk3399},
-        NamedPreset{"homogeneous_xeon", [] { return homogeneous_xeon(); }},
-        NamedPreset{"arm_three_type", &arm_three_type}));
+const NamedPreset kPresets[] = {
+    {"raptor_lake_i7_13700", &raptor_lake_i7_13700},
+    {"orangepi800_rk3399", &orangepi800_rk3399},
+    {"homogeneous_xeon", [] { return homogeneous_xeon(); }},
+    {"arm_three_type", &arm_three_type}};
 
-class PresetTest : public ::testing::TestWithParam<MachineSpec> {};
+INSTANTIATE_TEST_SUITE_P(AllMachines, PresetValidationTest,
+                         ::testing::ValuesIn(kPresets));
+
+class PresetTest : public ::testing::TestWithParam<NamedPreset> {};
 
 TEST_P(PresetTest, CoreTypePartitionCoversAllCpus) {
-  const MachineSpec& m = GetParam();
+  const MachineSpec m = GetParam().make();
   std::size_t covered = 0;
   for (std::size_t t = 0; t < m.core_types.size(); ++t) {
     covered += m.cpus_of_type(static_cast<CoreTypeId>(t)).size();
@@ -57,11 +58,7 @@ TEST_P(PresetTest, CoreTypePartitionCoversAllCpus) {
 }
 
 INSTANTIATE_TEST_SUITE_P(AllMachines, PresetTest,
-                         ::testing::Values(raptor_lake_i7_13700(),
-                                           orangepi800_rk3399(),
-                                           homogeneous_xeon(),
-                                           arm_three_type()),
-                         [](const auto& param_info) { return param_info.param.name; });
+                         ::testing::ValuesIn(kPresets));
 
 TEST(RaptorLakePreset, MatchesTableOne) {
   const MachineSpec m = raptor_lake_i7_13700();

@@ -434,61 +434,70 @@ TEST_F(LibraryTest, RemoveEventDropsAllConstituentsOfDerivedPreset) {
 TEST(LibraryReadPlanTest, CacheSurvivesAddAndRemove) {
   // The cached group-read fan-out must be invalidated whenever the
   // slot layout changes; a read after add/remove has to report one
-  // correct value per surviving event, matching an uncached library.
-  // Each run gets its own kernel so the deterministic sim replays the
-  // exact same history for both configurations.
-  const auto run_sequence = [](bool cache_read_plan) {
-    SimKernel kernel(cpumodel::raptor_lake_i7_13700());
-    SimBackend backend(&kernel);
-    PhaseSpec phase;
-    const Tid tid = kernel.spawn(
-        std::make_shared<FixedWorkProgram>(phase, 1'000'000'000'000ULL),
-        CpuSet::of({0}));
-    backend.set_default_target(tid);
-    LibraryConfig config;
-    config.cache_read_plan = cache_read_plan;
-    auto created = Library::init(&backend, config);
-    EXPECT_TRUE(created.has_value());
-    auto lib = std::move(*created);
-    auto set = lib->create_eventset();
-    EXPECT_TRUE(lib->add_event(*set, "adl_glc::INST_RETIRED:ANY").is_ok());
-    EXPECT_TRUE(lib->start(*set).is_ok());
-    kernel.run_for(std::chrono::milliseconds(20));
-    auto first = lib->read(*set);  // builds (and maybe caches) the plan
-    EXPECT_TRUE(first.has_value());
-    EXPECT_EQ(first->size(), 1u);
-    EXPECT_TRUE(lib->stop(*set).has_value());
+  // correct value per surviving event. The reference is a twin library
+  // on the same kernel that builds a fresh EventSet with the new layout
+  // and starts it at the same sim instant. With zero caliper overhead
+  // neither library perturbs the thread, so the values must agree.
+  SimKernel kernel(cpumodel::raptor_lake_i7_13700());
+  SimBackend backend(&kernel);
+  PhaseSpec phase;
+  const Tid tid = kernel.spawn(
+      std::make_shared<FixedWorkProgram>(phase, 1'000'000'000'000ULL),
+      CpuSet::of({0}));
+  backend.set_default_target(tid);
+  LibraryConfig config;
+  config.call_overhead_instructions = 0;
+  auto lib = Library::init(&backend, config);
+  auto twin = Library::init(&backend, config);
+  ASSERT_TRUE(lib.has_value() && twin.has_value());
+  auto set = (*lib)->create_eventset();
+  ASSERT_TRUE(set.has_value());
 
-    EXPECT_TRUE(
-        lib->add_event(*set, "adl_glc::CPU_CLK_UNHALTED:THREAD").is_ok());
-    EXPECT_TRUE(lib->add_event(*set, "adl_grt::INST_RETIRED:ANY").is_ok());
-    EXPECT_TRUE(lib->start(*set).is_ok());
-    kernel.run_for(std::chrono::milliseconds(20));
-    auto grown = lib->read(*set);
-    EXPECT_TRUE(grown.has_value());
-    EXPECT_EQ(grown->size(), 3u);
-    EXPECT_TRUE(lib->stop(*set).has_value());
+  // Runs `set` and a fresh twin set of `layout` over the same 20 ms and
+  // returns both reads: {through the cached plan, fresh reference}.
+  const auto read_with_fresh_twin =
+      [&](const std::vector<const char*>& layout) {
+        auto fresh = (*twin)->create_eventset();
+        EXPECT_TRUE(fresh.has_value());
+        for (const char* event : layout) {
+          EXPECT_TRUE((*twin)->add_event(*fresh, event).is_ok()) << event;
+        }
+        EXPECT_TRUE((*lib)->start(*set).is_ok());
+        EXPECT_TRUE((*twin)->start(*fresh).is_ok());
+        kernel.run_for(std::chrono::milliseconds(20));
+        auto cached = (*lib)->read(*set);
+        auto reference = (*twin)->read(*fresh);
+        EXPECT_TRUE((*lib)->stop(*set).has_value());
+        EXPECT_TRUE((*twin)->stop(*fresh).has_value());
+        EXPECT_TRUE(cached.has_value()) << cached.status().to_string();
+        EXPECT_TRUE(reference.has_value());
+        return std::make_pair(cached.value_or({}), reference.value_or({}));
+      };
 
-    EXPECT_TRUE(lib->remove_event(*set, "adl_glc::INST_RETIRED:ANY").is_ok());
-    EXPECT_TRUE(lib->start(*set).is_ok());
-    kernel.run_for(std::chrono::milliseconds(20));
-    auto shrunk = lib->read(*set);
-    EXPECT_TRUE(shrunk.has_value());
-    EXPECT_EQ(shrunk->size(), 2u);
-    EXPECT_TRUE(lib->stop(*set).has_value());
-    return std::make_pair(*grown, *shrunk);
-  };
+  ASSERT_TRUE((*lib)->add_event(*set, "adl_glc::INST_RETIRED:ANY").is_ok());
+  const auto first = read_with_fresh_twin({"adl_glc::INST_RETIRED:ANY"});
+  ASSERT_EQ(first.first.size(), 1u);  // builds and caches the plan
+  EXPECT_EQ(first.first, first.second);
 
-  // Deterministic sim + identical call sequence: the cached plan must
-  // reproduce the uncached (rebuilt-every-read) values exactly.
-  const auto cached = run_sequence(true);
-  const auto uncached = run_sequence(false);
-  EXPECT_EQ(cached.first, uncached.first);
-  EXPECT_EQ(cached.second, uncached.second);
-  EXPECT_GT(cached.first[0], 0) << "P-core instructions";
-  EXPECT_GT(cached.first[1], 0) << "P-core cycles";
-  EXPECT_EQ(cached.first[2], 0) << "E-core event on a P-pinned thread";
-  EXPECT_GT(cached.second[0], 0) << "cycles survive the removal";
+  ASSERT_TRUE(
+      (*lib)->add_event(*set, "adl_glc::CPU_CLK_UNHALTED:THREAD").is_ok());
+  ASSERT_TRUE((*lib)->add_event(*set, "adl_grt::INST_RETIRED:ANY").is_ok());
+  const auto grown = read_with_fresh_twin(
+      {"adl_glc::INST_RETIRED:ANY", "adl_glc::CPU_CLK_UNHALTED:THREAD",
+       "adl_grt::INST_RETIRED:ANY"});
+  ASSERT_EQ(grown.first.size(), 3u);
+  EXPECT_EQ(grown.first, grown.second);
+
+  ASSERT_TRUE((*lib)->remove_event(*set, "adl_glc::INST_RETIRED:ANY").is_ok());
+  const auto shrunk = read_with_fresh_twin(
+      {"adl_glc::CPU_CLK_UNHALTED:THREAD", "adl_grt::INST_RETIRED:ANY"});
+  ASSERT_EQ(shrunk.first.size(), 2u);
+  EXPECT_EQ(shrunk.first, shrunk.second);
+
+  EXPECT_GT(grown.first[0], 0) << "P-core instructions";
+  EXPECT_GT(grown.first[1], 0) << "P-core cycles";
+  EXPECT_EQ(grown.first[2], 0) << "E-core event on a P-pinned thread";
+  EXPECT_GT(shrunk.first[0], 0) << "cycles survive the removal";
 }
 
 // --- homogeneous control machine ------------------------------------------

@@ -4,6 +4,8 @@
 // perfectly ordinary homogeneous machines despite their core flavours.
 #include <gtest/gtest.h>
 
+#include <ostream>
+
 #include "cpumodel/machine.hpp"
 #include "papi/library.hpp"
 #include "papi/sim_backend.hpp"
@@ -12,6 +14,16 @@
 #include "workload/programs.hpp"
 
 namespace hetpapi {
+namespace cpumodel {
+
+// Print a preset as its name, not its raw bytes (which hold heap
+// addresses), so the registered ctest names are stable.
+void PrintTo(const MachineSpec& machine, std::ostream* os) {
+  *os << machine.name;
+}
+
+}  // namespace cpumodel
+
 namespace {
 
 using papi::Library;
@@ -86,11 +98,9 @@ TEST_P(ServerPresetTest, MeasurementWorksThroughTheTraditionalPath) {
   EXPECT_GE((*values)[0], 25'000'000);
 }
 
-INSTANTIATE_TEST_SUITE_P(
-    Servers, ServerPresetTest,
-    ::testing::Values(cpumodel::sierra_forest_e_only(),
-                      cpumodel::granite_rapids_p_only()),
-    [](const auto& param_info) { return param_info.param.name; });
+INSTANTIATE_TEST_SUITE_P(Servers, ServerPresetTest,
+                         ::testing::Values(cpumodel::sierra_forest_e_only(),
+                                           cpumodel::granite_rapids_p_only()));
 
 TEST(ServerPresets, ModelKeyedTablesBindTheRightFlavour) {
   {

@@ -463,6 +463,80 @@ TEST(SamplingRing, LostRecordsAppearInBandBeforeLaterSamples) {
       << "delivered + lost covers every period crossing exactly";
 }
 
+// One period cell of the loss sweep: PAPI_TOT_INS sampled on a
+// capacity-64 ring, drained through the library every 2 ms for 25
+// passes, then to completion after stop.
+struct LossCell {
+  std::uint64_t period = 0;
+  std::uint64_t crossings = 0;
+  std::uint64_t delivered = 0;
+  std::uint64_t lost = 0;
+};
+
+void run_loss_cell(LossCell& cell) {
+  SimKernel::Config config;
+  config.perf.sample_ring_capacity = 64;
+  SimKernel kernel(cpumodel::raptor_lake_i7_13700(), config);
+  SimBackend backend(&kernel);
+  backend.set_default_target(kernel.spawn(
+      std::make_shared<FixedWorkProgram>(PhaseSpec{}, 200'000'000),
+      CpuSet::of({0})));
+  auto lib = Library::init(&backend);
+  ASSERT_TRUE(lib.has_value());
+  auto set = (*lib)->create_eventset();
+  ASSERT_TRUE(set.has_value());
+  ASSERT_TRUE((*lib)->add_event(*set, "PAPI_TOT_INS").is_ok());
+  ASSERT_TRUE((*lib)
+                  ->set_overflow(*set, 0, cell.period,
+                                 [](const Library::OverflowEvent&) {})
+                  .is_ok());
+  ASSERT_TRUE((*lib)->start(*set).is_ok());
+  const auto drain = [&] {
+    auto batch = (*lib)->read_samples(*set);
+    ASSERT_TRUE(batch.has_value());
+    cell.delivered += batch->samples.size();
+    cell.lost += batch->lost;
+  };
+  for (int pass = 0; pass < 25; ++pass) {
+    kernel.run_for(std::chrono::milliseconds(2));
+    drain();
+  }
+  kernel.run_until_idle(std::chrono::seconds(60));
+  auto values = (*lib)->stop(*set);
+  ASSERT_TRUE(values.has_value());
+  drain();
+  drain();  // a drained ring must stay drained
+  cell.crossings = static_cast<std::uint64_t>((*values)[0]) / cell.period;
+}
+
+TEST(SamplingRing, PeriodSweepReconcilesExactlyAndLossNeverGrowsWithPeriod) {
+  // Short periods outrun the capacity-64 ring between drains, long ones
+  // never fill it. Either way every crossing is delivered or counted
+  // lost, and less ring pressure can only lose less. The counts are
+  // pinned: a drain that strands a pending LOST record breaks the sum.
+  const LossCell expected[] = {{250'000, 800, 379, 421},
+                               {500'000, 400, 361, 39},
+                               {1'000'000, 200, 200, 0},
+                               {2'000'000, 100, 100, 0},
+                               {4'000'000, 50, 50, 0}};
+  double last_loss_rate = 1.0;
+  for (const LossCell& want : expected) {
+    SCOPED_TRACE("period " + std::to_string(want.period));
+    LossCell got;
+    got.period = want.period;
+    run_loss_cell(got);
+    EXPECT_EQ(got.delivered + got.lost, got.crossings);
+    ASSERT_GT(got.crossings, 0u);
+    const double loss_rate = static_cast<double>(got.lost) /
+                             static_cast<double>(got.crossings);
+    EXPECT_LE(loss_rate, last_loss_rate);
+    last_loss_rate = loss_rate;
+    EXPECT_EQ(got.crossings, want.crossings);
+    EXPECT_EQ(got.delivered, want.delivered);
+    EXPECT_EQ(got.lost, want.lost);
+  }
+}
+
 TEST(SamplingRing, WakeupEventsGateRingPollAsEdgeTrigger) {
   SimKernel kernel(cpumodel::raptor_lake_i7_13700());
   PhaseSpec phase;

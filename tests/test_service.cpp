@@ -3,7 +3,8 @@
 // handling, session lifecycle, shared-subscription coalescing (the
 // backend-reads-per-tick oracle), backpressure and idle-timeout drops,
 // graceful shutdown with the fd ledger as leak oracle, byte-identical
-// streams across encode thread counts, and a seeded chaos soak with the
+// streams across encode thread counts, exact read and delivery counts
+// over the 1..1024-client load table, and a seeded chaos soak with the
 // fault injector behind the daemon. The unix-socket transport gets a
 // real-socket smoke test in the ServiceLinuxHost suite (runs in the
 // linux-host CI shard).
@@ -31,6 +32,8 @@
 #include "service/transport.hpp"
 #include "simkernel/kernel.hpp"
 #include "workload/programs.hpp"
+
+#include "load_cell.hpp"
 
 namespace hetpapi {
 namespace {
@@ -1149,6 +1152,43 @@ TEST(ServiceChaos, MixedFaultSoakLeaksNothingOnAnySeed) {
 TEST(ServiceChaos, SameSeedSameSoakTrace) {
   EXPECT_EQ(run_chaos_soak(7), run_chaos_soak(7));
   EXPECT_EQ(run_chaos_soak(99), run_chaos_soak(99));
+}
+
+// --- the load table: coalescing at scale ------------------------------------
+
+// Every cell of the load table at one (encode threads, shards) setting:
+// backend reads are exactly one per distinct spec per tick, deliveries
+// exactly one per rider per tick, whatever the client count, shard
+// count, encode parallelism or session churn; and teardown leaves no
+// fd open. The counts are closed-form, so every setting must produce
+// the same table.
+void expect_exact_load_table(std::size_t encode_threads,
+                             std::size_t shards) {
+  const auto ticks = static_cast<std::uint64_t>(ServiceLoadCell::kTicks);
+  for (const LoadCellSpec& spec : load_table(shards)) {
+    SCOPED_TRACE(spec.label);
+    ServiceLoadCell cell(spec, encode_threads);
+    cell.run(ServiceLoadCell::kTicks);
+    const auto specs = static_cast<std::uint64_t>(spec.specs);
+    const auto clients = static_cast<std::uint64_t>(spec.clients);
+    EXPECT_EQ(cell.distinct_specs(), specs);
+    EXPECT_EQ(cell.backend_reads(), ticks * specs);
+    EXPECT_EQ(cell.client_reads(), ticks * clients);
+    EXPECT_EQ(cell.samples_taken(), ticks * clients);
+    EXPECT_EQ(cell.shutdown(), 0u) << "fd ledger at teardown";
+  }
+}
+
+TEST(ServiceLoad, ExactCountsAtOneEncodeThread) {
+  expect_exact_load_table(1, 1);
+}
+
+TEST(ServiceLoad, ExactCountsAtFourEncodeThreads) {
+  expect_exact_load_table(4, 1);
+}
+
+TEST(ServiceLoad, ExactCountsAtFourEncodeThreadsTwoShards) {
+  expect_exact_load_table(4, 2);
 }
 
 // --- unix-domain sockets (linux-host shard) --------------------------------
