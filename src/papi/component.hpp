@@ -104,17 +104,18 @@ class Component {
   /// Read every open slot into values[slot.global_index]. `scale`
   /// requests multiplex-scaled estimates where supported.
   ///
-  /// `valid` selects the failure policy. nullptr (the strict, default
-  /// path behind read()/stop()/accum()) fails the whole call when any
-  /// slot cannot deliver. Non-null (the tolerant path behind
-  /// read_checked()/read_qualified()) must be sized like `values`; a
+  /// `valid` selects the failure policy. nullptr (the strict path behind
+  /// read_into() without a degraded buffer, stop() and accum()) fails
+  /// the whole call when any slot cannot deliver. Non-null (the tolerant
+  /// path behind read_into() with a degraded buffer and
+  /// read_qualified_into()) must be sized like `values`; a
   /// slot whose counter cannot deliver — dead fd, retry budget
   /// exhausted — gets its entry cleared to 0 and a 0.0 value while the
   /// remaining slots still report, so one dead counter degrades one
   /// slot instead of aborting the collection.
   virtual Status read(const ComponentState& state, bool scale,
                       std::vector<double>& values,
-                      std::vector<std::uint8_t>* valid = nullptr) const = 0;
+                      std::vector<std::uint8_t>* valid) const = 0;
 
   /// Kernel-level groups currently held — the unit of per-call overhead
   /// accounting and of eventset_group_count().

@@ -27,7 +27,7 @@ class PerfBackedComponent : public Component {
   Status reset(ComponentState& state) override;
   Status read(const ComponentState& state, bool scale,
               std::vector<double>& values,
-              std::vector<std::uint8_t>* valid = nullptr) const override;
+              std::vector<std::uint8_t>* valid) const override;
   int group_count(const ComponentState& state) const override;
   /// The safe drain loop: for every sampling slot, consult the wakeup
   /// surface (advisory; transient stalls retry within the budget, a

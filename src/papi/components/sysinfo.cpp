@@ -69,18 +69,18 @@ Expected<std::string> SysinfoComponent::find_thermal_zone() const {
 
 Expected<double> SysinfoComponent::read_raw(const Slot& slot) const {
   const pfm::Host& host = env_.backend->host();
-  switch (slot.reading) {
-    case Reading::kContextSwitches: {
+  switch (slot.quantity) {
+    case Quantity::kContextSwitches: {
       auto stat = host.read_file("/proc/stat");
       if (!stat.has_value()) return stat.status();
       return parse_ctxt(*stat);
     }
-    case Reading::kCpuTimeMs: {
+    case Quantity::kCpuTimeMs: {
       auto stat = host.read_file("/proc/stat");
       if (!stat.has_value()) return stat.status();
       return parse_cpu_time_ms(*stat);
     }
-    case Reading::kPackageTempMc: {
+    case Quantity::kPackageTempMc: {
       auto value = host.read_int(slot.path);
       if (!value.has_value()) return value.status();
       return static_cast<double>(*value);
@@ -108,11 +108,11 @@ Status SysinfoComponent::open_slot(ComponentState& state,
     name = name.substr(0, colon);
   }
   if (name == "SYS_CTX_SWITCHES") {
-    slot.reading = Reading::kContextSwitches;
+    slot.quantity = Quantity::kContextSwitches;
   } else if (name == "SYS_CPU_TIME_MS") {
-    slot.reading = Reading::kCpuTimeMs;
+    slot.quantity = Quantity::kCpuTimeMs;
   } else if (name == "PKG_TEMP_MC") {
-    slot.reading = Reading::kPackageTempMc;
+    slot.quantity = Quantity::kPackageTempMc;
     auto path = find_thermal_zone();
     if (!path.has_value()) return path.status();
     slot.path = *path;
@@ -155,7 +155,7 @@ Status SysinfoComponent::stop(ComponentState& state) {
   for (auto& slot : st.slots) {
     auto value = read_raw(slot);
     if (!value.has_value()) return value.status();
-    slot.frozen = slot.reading == Reading::kPackageTempMc
+    slot.frozen = slot.quantity == Quantity::kPackageTempMc
                       ? *value
                       : *value - slot.baseline;
   }
@@ -193,7 +193,7 @@ Status SysinfoComponent::read(const ComponentState& state, bool scale,
         (*valid)[index] = 0;
         continue;
       }
-      out = slot.reading == Reading::kPackageTempMc ? *value
+      out = slot.quantity == Quantity::kPackageTempMc ? *value
                                                     : *value - slot.baseline;
     }
     values[index] = out;

@@ -42,7 +42,7 @@ class SysinfoComponent final : public Component {
   Status reset(ComponentState& state) override;
   Status read(const ComponentState& state, bool scale,
               std::vector<double>& values,
-              std::vector<std::uint8_t>* valid = nullptr) const override;
+              std::vector<std::uint8_t>* valid) const override;
   /// Software reads hold no kernel groups: they add nothing to the
   /// per-call overhead model and never perturb the measured thread.
   int group_count(const ComponentState& state) const override {
@@ -51,11 +51,11 @@ class SysinfoComponent final : public Component {
   }
 
  private:
-  enum class Reading { kContextSwitches, kCpuTimeMs, kPackageTempMc };
+  enum class Quantity { kContextSwitches, kCpuTimeMs, kPackageTempMc };
 
   struct Slot {
     SlotRequest request;
-    Reading reading = Reading::kContextSwitches;
+    Quantity quantity = Quantity::kContextSwitches;
     /// Resolved thermal-zone temp path (PKG_TEMP_MC only).
     std::string path;
     double baseline = 0.0;

@@ -47,8 +47,9 @@ struct LibraryConfig {
   /// Graceful degradation for multi-constituent (derived hybrid)
   /// events: when one core-type PMU refuses to open its constituent,
   /// keep the constituents that did open instead of failing the whole
-  /// add. The event is flagged degraded, read() returns the partial sum
-  /// and read_qualified() reports the missing constituents with their
+  /// add. The event is flagged degraded, read_into() returns the
+  /// partial sum (flagged when a degraded buffer is passed) and
+  /// read_qualified_into() reports the missing constituents with their
   /// validity bit cleared. Off (the default) preserves the historical
   /// all-or-nothing behaviour — a partial sum must be asked for.
   bool degrade_partial_presets = false;
@@ -66,18 +67,6 @@ struct EventInfo {
   /// Canonical names of constituents that failed to open (empty unless
   /// degraded).
   std::vector<std::string> missing_names;
-};
-
-/// A tagged read: the values read() would return plus the degradation
-/// state of each slot, so callers can tell a full count from a partial
-/// one. A slot is degraded when its event opened on only a subset of
-/// its PMUs, or when a live counter failed to deliver this collection
-/// (stale fd, retry budget exhausted) — the value is then the sum of
-/// the constituents that did report.
-struct Reading {
-  std::vector<long long> values;            // one per user event, add order
-  std::vector<std::uint8_t> value_degraded; // 1 = values[i] is partial
-  bool degraded = false;                    // any slot degraded
 };
 
 /// One constituent of a qualified (per-PMU) read: the raw value the
@@ -99,7 +88,7 @@ struct QualifiedValue {
 };
 
 /// PAPI_read_qualified-style result for one user event: the transparent
-/// derived total (identical to what read() returns for the slot) plus
+/// derived total (identical to what read_into() returns for the slot) plus
 /// the per-PMU breakdown it was summed from (§V-2).
 struct QualifiedReading {
   std::string display_name;

@@ -381,8 +381,9 @@ Expected<std::vector<long long>> EventSetCore::stop() {
   if (!running()) {
     return make_error(StatusCode::kNotRunning, "EventSet is not running");
   }
-  auto values = collect();
-  if (!values) return values.status();
+  HETPAPI_RETURN_IF_ERROR(collect(nullptr));
+  std::vector<long long> values;
+  fold_user_events(values, nullptr);
 
   const MeasureTarget tgt = target();
   for (ComponentUse& use : uses_) {
@@ -409,30 +410,20 @@ void EventSetCore::charge_read_overhead() const {
       target_, config_->call_overhead_instructions * running_group_count_);
 }
 
-Expected<std::vector<long long>> EventSetCore::read() const {
-  auto values = collect();
-  if (values) charge_read_overhead();
-  return values;
-}
-
-Status EventSetCore::read_into(std::vector<long long>& out) const {
-  HETPAPI_RETURN_IF_ERROR(collect_natives());
+Status EventSetCore::read_into(std::vector<long long>& out,
+                               std::vector<std::uint8_t>* degraded) const {
+  HETPAPI_RETURN_IF_ERROR(
+      collect(degraded != nullptr ? &valid_scratch_ : nullptr));
   charge_read_overhead();
-  fold_user_events(out);
+  fold_user_events(out, degraded);
   return Status::ok();
-}
-
-Expected<std::vector<QualifiedReading>> EventSetCore::read_qualified() const {
-  std::vector<QualifiedReading> out;
-  HETPAPI_RETURN_IF_ERROR(read_qualified_into(out));
-  return out;
 }
 
 Status EventSetCore::read_qualified_into(
     std::vector<QualifiedReading>& out) const {
   // One kernel collection — the same fan-out and per-call charge as
-  // read() — then keep the per-native values instead of folding them
-  // away, so the breakdown and the total come from the same instant.
+  // read_into() — then keep the per-native values instead of folding
+  // them away, so the breakdown and the total come from the same instant.
   // Collection is tolerant: a constituent that cannot deliver comes
   // back as an invalid part (value 0, excluded from the total) rather
   // than failing the whole reading, and constituents that never opened
@@ -444,7 +435,7 @@ Status EventSetCore::read_qualified_into(
   // match) and repaired only when the layout actually changed under the
   // buffer. This is what takes the qualified read from ~700 ns of
   // per-call allocations down to the plain-read cost.
-  HETPAPI_RETURN_IF_ERROR(collect_checked());
+  HETPAPI_RETURN_IF_ERROR(collect(&valid_scratch_));
   charge_read_overhead();
 
   if (out.size() != user_events_.size()) out.resize(user_events_.size());
@@ -513,10 +504,11 @@ Status EventSetCore::accum(std::vector<long long>& values) {
     return make_error(StatusCode::kInvalidArgument,
                       "values array must have one slot per event");
   }
-  auto current = collect();
-  if (!current) return current.status();
+  HETPAPI_RETURN_IF_ERROR(collect(nullptr));
+  std::vector<long long> current;
+  fold_user_events(current, nullptr);
   for (std::size_t i = 0; i < values.size(); ++i) {
-    values[i] += (*current)[i];
+    values[i] += current[i];
   }
   return reset();
 }
@@ -528,53 +520,7 @@ Status EventSetCore::reset() {
   return Status::ok();
 }
 
-bool EventSetCore::degraded() const {
-  for (const UserEvent& user : user_events_) {
-    if (!user.missing.empty()) return true;
-  }
-  return false;
-}
-
-Status EventSetCore::collect_checked() const {
-  if (native_scratch_.size() != natives_.size()) {
-    native_scratch_.assign(natives_.size(), 0.0);
-  }
-  valid_scratch_.assign(natives_.size(), 1);
-  const bool scale = multiplexed_ && config_->scale_multiplexed;
-  for (const ComponentUse& use : uses_) {
-    HETPAPI_RETURN_IF_ERROR(use.component->read(
-        *use.state, scale, native_scratch_, &valid_scratch_));
-  }
-  return Status::ok();
-}
-
-Expected<Reading> EventSetCore::read_checked() const {
-  HETPAPI_RETURN_IF_ERROR(collect_checked());
-  charge_read_overhead();
-
-  Reading out;
-  out.values.reserve(user_events_.size());
-  out.value_degraded.reserve(user_events_.size());
-  for (const UserEvent& user : user_events_) {
-    double sum = 0.0;
-    bool slot_degraded = !user.missing.empty();
-    for (std::size_t i = 0; i < user.native_indices.size(); ++i) {
-      const auto native_idx =
-          static_cast<std::size_t>(user.native_indices[i]);
-      if (valid_scratch_[native_idx] != 0) {
-        sum += user.native_signs[i] * native_scratch_[native_idx];
-      } else {
-        slot_degraded = true;
-      }
-    }
-    out.values.push_back(static_cast<long long>(sum));
-    out.value_degraded.push_back(slot_degraded ? 1 : 0);
-    out.degraded = out.degraded || slot_degraded;
-  }
-  return out;
-}
-
-Status EventSetCore::collect_natives() const {
+Status EventSetCore::collect(std::vector<std::uint8_t>* valid) const {
   // Gather per-native raw/scaled values across every component in use.
   // Every native belongs to exactly one component which writes its slot
   // on success, so the scratch needs sizing but not zero-filling on
@@ -582,32 +528,35 @@ Status EventSetCore::collect_natives() const {
   if (native_scratch_.size() != natives_.size()) {
     native_scratch_.assign(natives_.size(), 0.0);
   }
+  if (valid != nullptr) valid->assign(natives_.size(), 1);
   const bool scale = multiplexed_ && config_->scale_multiplexed;
   for (const ComponentUse& use : uses_) {
     HETPAPI_RETURN_IF_ERROR(
-        use.component->read(*use.state, scale, native_scratch_));
+        use.component->read(*use.state, scale, native_scratch_, valid));
   }
   return Status::ok();
 }
 
-void EventSetCore::fold_user_events(std::vector<long long>& out) const {
+void EventSetCore::fold_user_events(std::vector<long long>& out,
+                                    std::vector<std::uint8_t>* degraded) const {
   out.resize(user_events_.size());  // no-op (no allocation) once sized
+  if (degraded != nullptr) degraded->resize(user_events_.size());
   for (std::size_t u = 0; u < user_events_.size(); ++u) {
     const UserEvent& user = user_events_[u];
     double sum = 0.0;
+    bool partial = !user.missing.empty();
     for (std::size_t i = 0; i < user.native_indices.size(); ++i) {
-      sum += user.native_signs[i] *
-             native_scratch_[static_cast<std::size_t>(user.native_indices[i])];
+      const auto native_idx =
+          static_cast<std::size_t>(user.native_indices[i]);
+      if (degraded != nullptr && valid_scratch_[native_idx] == 0) {
+        partial = true;
+        continue;
+      }
+      sum += user.native_signs[i] * native_scratch_[native_idx];
     }
     out[u] = static_cast<long long>(sum);
+    if (degraded != nullptr) (*degraded)[u] = partial ? 1 : 0;
   }
-}
-
-Expected<std::vector<long long>> EventSetCore::collect() const {
-  std::vector<long long> out;
-  HETPAPI_RETURN_IF_ERROR(collect_natives());
-  fold_user_events(out);
-  return out;
 }
 
 Expected<std::vector<EventInfo>> EventSetCore::info() const {

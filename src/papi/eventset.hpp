@@ -6,6 +6,7 @@
 // names (presets, custom presets, native encodings) and delegates here.
 #pragma once
 
+#include <cstdint>
 #include <functional>
 #include <memory>
 #include <string>
@@ -38,10 +39,6 @@ class EventSetCore {
   int id() const { return id_; }
   bool running() const { return state_ == SetState::kRunning; }
   bool has_natives() const { return !natives_.empty(); }
-  /// True when any user event opened on only a subset of its
-  /// constituent PMUs (LibraryConfig::degrade_partial_presets): plain
-  /// read() values for those slots are partial sums.
-  bool degraded() const;
 
   /// Bind to a thread. Existing events transparently re-open.
   Status attach(Tid tid);
@@ -76,16 +73,22 @@ class EventSetCore {
 
   Status start();
   Expected<std::vector<long long>> stop();
-  Expected<std::vector<long long>> read() const;
-  /// Allocation-free read(): folds the current counts into `out`
-  /// (resized to one slot per user event; steady-state callers reuse the
-  /// buffer's capacity, so the hot path never allocates). The marker API
-  /// and the low-tens-of-ns read target are built on this.
-  Status read_into(std::vector<long long>& out) const;
-  /// Allocation-free read_qualified(): updates `out` in place when its
-  /// shape matches the set's layout (sizes and part names are verified
-  /// and repaired per call); reshapes — and then allocates — only when
-  /// the layout actually changed.
+  /// The counting read: folds the current counts into `out` (resized to
+  /// one slot per user event; steady-state callers reuse the buffer's
+  /// capacity, so the hot path never allocates). `degraded` selects the
+  /// failure policy, as Component::read's `valid` does: nullptr fails
+  /// the call when any counter cannot deliver; non-null collects
+  /// tolerantly, resizes `degraded` to one byte per slot and sets a
+  /// slot's byte to 1 when its value is a partial sum (a constituent
+  /// never opened, or its counter failed this collection).
+  Status read_into(std::vector<long long>& out,
+                   std::vector<std::uint8_t>* degraded = nullptr) const;
+  /// PAPI_read_qualified: one reading per user event carrying the raw
+  /// per-constituent (per-PMU) values alongside the derived total, from
+  /// one tolerant collection, so the breakdown never disagrees with the
+  /// total. Updates `out` in place when its shape matches the set's
+  /// layout (sizes and part names are verified and repaired per call);
+  /// reshapes — and then allocates — only when the layout changed.
   Status read_qualified_into(std::vector<QualifiedReading>& out) const;
   /// Resolver from PMU name to detected core-type label, installed by
   /// the Library facade so read_qualified_into can label parts without a
@@ -94,18 +97,6 @@ class EventSetCore {
       std::function<std::string(std::string_view)> resolver) {
     core_type_resolver_ = std::move(resolver);
   }
-  /// read() plus per-slot degradation tags, collected tolerantly: a
-  /// counter that cannot deliver (dead fd, retry budget exhausted)
-  /// degrades its slot to a partial sum instead of failing the call.
-  /// The strict read() surfaces the same situation as an error.
-  Expected<Reading> read_checked() const;
-  /// PAPI_read_qualified: one reading per user event carrying the raw
-  /// per-constituent (per-PMU) values alongside the derived total. The
-  /// totals are computed from the same collection as read(), so a
-  /// qualified read never disagrees with the transparent sum. Core-type
-  /// labels are filled in by the Library facade, which owns the
-  /// detection result.
-  Expected<std::vector<QualifiedReading>> read_qualified() const;
   Status accum(std::vector<long long>& values);
   Status reset();
 
@@ -130,8 +121,8 @@ class EventSetCore {
   };
 
   /// A constituent that failed to open under graceful degradation:
-  /// remembered so read_qualified() can report it with its validity bit
-  /// cleared instead of silently narrowing the breakdown.
+  /// remembered so read_qualified_into() can report it with its validity
+  /// bit cleared instead of silently narrowing the breakdown.
   struct MissingConstituent {
     pfm::Encoding enc;
     int sign = 1;
@@ -187,15 +178,16 @@ class EventSetCore {
   /// half-open layout that would read stale values.
   Status reopen_slots_or_empty();
 
-  Expected<std::vector<long long>> collect() const;
-  /// Tolerant collection: per-native validity recorded in
-  /// valid_scratch_, failed slots contribute 0 (see Component::read).
-  Status collect_checked() const;
-  /// Fan the component reads into native_scratch_ (strict; the shared
-  /// first half of collect() and read_into()).
-  Status collect_natives() const;
-  /// Fold native_scratch_ into per-user-event sums, reusing `out`.
-  void fold_user_events(std::vector<long long>& out) const;
+  /// Fan the component reads into native_scratch_. `valid` selects the
+  /// policy (see Component::read): nullptr is strict; non-null is
+  /// tolerant and receives one validity byte per native slot.
+  Status collect(std::vector<std::uint8_t>* valid) const;
+  /// Fold native_scratch_ into per-user-event sums, reusing `out`. With
+  /// `degraded`, the collection was tolerant: invalid natives (per
+  /// valid_scratch_) are left out of the sums and each slot's partial
+  /// flag is written to `degraded`.
+  void fold_user_events(std::vector<long long>& out,
+                        std::vector<std::uint8_t>* degraded) const;
   /// Charge the per-call overhead model for one read-shaped call.
   void charge_read_overhead() const;
 
@@ -224,7 +216,7 @@ class EventSetCore {
   /// Per-native value scratch for collect() (mutable: read is logically
   /// const).
   mutable std::vector<double> native_scratch_;
-  /// Per-native validity scratch for the tolerant collection paths.
+  /// Per-native validity scratch for tolerant collections.
   mutable std::vector<std::uint8_t> valid_scratch_;
   std::function<std::string(std::string_view)> core_type_resolver_;
 };

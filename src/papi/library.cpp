@@ -345,7 +345,7 @@ Expected<SampleBatch> Library::read_samples(int eventset) {
   HETPAPI_RETURN_IF_ERROR(set->drain_samples(batch));
   // The component layer labels samples by PMU; the facade owns the
   // core-type detection, so attribution happens here — the same ladder
-  // read_qualified uses (§V-2).
+  // read_qualified_into uses (§V-2).
   for (Sample& sample : batch.samples) {
     sample.core_type = core_type_for_pmu(sample.pmu_name);
   }
@@ -370,20 +370,13 @@ Expected<std::vector<long long>> Library::stop(int eventset) {
   return set->stop();
 }
 
-Expected<std::vector<long long>> Library::read(int eventset) const {
+Status Library::read_into(int eventset, std::vector<long long>& out,
+                          std::vector<std::uint8_t>* degraded) const {
   const EventSetCore* set = find_set(eventset);
   if (set == nullptr) {
     return make_error(StatusCode::kNoEventSet, "no such EventSet");
   }
-  return set->read();
-}
-
-Status Library::read_into(int eventset, std::vector<long long>& out) const {
-  const EventSetCore* set = find_set(eventset);
-  if (set == nullptr) {
-    return make_error(StatusCode::kNoEventSet, "no such EventSet");
-  }
-  return set->read_into(out);
+  return set->read_into(out, degraded);
 }
 
 Status Library::read_qualified_into(int eventset,
@@ -395,37 +388,10 @@ Status Library::read_qualified_into(int eventset,
   return set->read_qualified_into(out);
 }
 
-Expected<Reading> Library::read_checked(int eventset) const {
-  const EventSetCore* set = find_set(eventset);
-  if (set == nullptr) {
-    return make_error(StatusCode::kNoEventSet, "no such EventSet");
-  }
-  return set->read_checked();
-}
-
-Expected<bool> Library::eventset_degraded(int eventset) const {
-  const EventSetCore* set = find_set(eventset);
-  if (set == nullptr) {
-    return make_error(StatusCode::kNoEventSet, "no such EventSet");
-  }
-  return set->degraded();
-}
-
 std::string Library::core_type_for_pmu(std::string_view pmu_name) const {
   const pfm::ActivePmu* pmu = pfm_.find_pmu(pmu_name);
   if (pmu == nullptr || !pmu->is_core) return "";
   return core_type_label(hwinfo_.detection, pmu->cpus);
-}
-
-Expected<std::vector<QualifiedReading>> Library::read_qualified(
-    int eventset) const {
-  const EventSetCore* set = find_set(eventset);
-  if (set == nullptr) {
-    return make_error(StatusCode::kNoEventSet, "no such EventSet");
-  }
-  // Core-type labels are filled by the set's resolver (installed at
-  // create_eventset), so the in-place path and this one agree.
-  return set->read_qualified();
 }
 
 Status Library::accum(int eventset, std::vector<long long>& values) {
@@ -466,11 +432,6 @@ Expected<int> Library::eventset_group_count(int eventset) const {
     return make_error(StatusCode::kNoEventSet, "no such EventSet");
   }
   return set->group_count();
-}
-
-bool Library::eventset_running(int eventset) const {
-  const EventSetCore* set = find_set(eventset);
-  return set != nullptr && set->running();
 }
 
 }  // namespace hetpapi::papi

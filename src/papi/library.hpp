@@ -18,6 +18,7 @@
 //    (§V-3; the historical exclusive uncore component is retired).
 #pragma once
 
+#include <cstdint>
 #include <memory>
 #include <string>
 #include <vector>
@@ -148,33 +149,32 @@ class Library {
   /// Stop counting; returns the final values (one per added event, in
   /// add order).
   Expected<std::vector<long long>> stop(int eventset);
-  Expected<std::vector<long long>> read(int eventset) const;
-  /// Allocation-free read(): folds the current counts into `out`
-  /// (resized to one slot per event; steady-state callers reuse the
-  /// buffer's capacity so the hot path never allocates). The marker API
-  /// and the rdpmc read-latency target are built on this.
-  Status read_into(int eventset, std::vector<long long>& out) const;
-  /// Allocation-free read_qualified(): updates `out` in place when its
-  /// shape still matches the set's layout; reshapes (and then
-  /// allocates) only when the layout changed since the last call.
+  /// PAPI_read: folds the current counts into `out`, one transparent
+  /// derived sum per added event in add order (resized to fit;
+  /// steady-state callers reuse the buffer's capacity so the hot path
+  /// never allocates). The marker API and the rdpmc read-latency target
+  /// are built on this.
+  ///
+  /// `degraded` selects the failure policy. nullptr is strict: a
+  /// counter that cannot deliver (stale fd, exhausted retry budget)
+  /// fails the call. Non-null collects tolerantly: that counter's slot
+  /// becomes a partial sum over the constituents that did report,
+  /// `degraded` is resized to one byte per slot, and a byte is 1 when
+  /// its slot is partial — also when the event opened on only a subset
+  /// of its PMUs (LibraryConfig::degrade_partial_presets).
+  Status read_into(int eventset, std::vector<long long>& out,
+                   std::vector<std::uint8_t>* degraded = nullptr) const;
+  /// PAPI_read_qualified: like read_into(), but each value slot carries
+  /// the per-PMU breakdown a derived preset was transparently summed
+  /// from, with every constituent labelled by its detected core type
+  /// (§V-2's per-core-type reporting) and a validity bit. For
+  /// non-derived events the breakdown is the single constituent; totals
+  /// always equal what the tolerant read_into() returns. Updates `out`
+  /// in place when its shape still matches the set's layout; reshapes
+  /// (and then allocates) only when the layout changed since the last
+  /// call.
   Status read_qualified_into(int eventset,
                              std::vector<QualifiedReading>& out) const;
-  /// read() plus degradation tags, collected tolerantly: one dead
-  /// counter (stale fd, exhausted retry budget) degrades its slot to a
-  /// partial sum with Reading::value_degraded[i] set, instead of
-  /// failing the whole call the way the strict read() does. The
-  /// resilience surface the telemetry sampler reads through.
-  Expected<Reading> read_checked(int eventset) const;
-  /// True when any event in the set opened on only a subset of its
-  /// constituent PMUs (LibraryConfig::degrade_partial_presets) — plain
-  /// read() values are partial sums for those slots.
-  Expected<bool> eventset_degraded(int eventset) const;
-  /// PAPI_read_qualified: like read(), but each value slot carries the
-  /// per-PMU breakdown a derived preset was transparently summed from,
-  /// with every constituent labelled by its detected core type (§V-2's
-  /// per-core-type reporting). For non-derived events the breakdown is
-  /// the single constituent; totals always equal what read() returns.
-  Expected<std::vector<QualifiedReading>> read_qualified(int eventset) const;
   /// Detected core-type label serving `pmu_name` ("" when the PMU is not
   /// a core PMU or is unknown).
   std::string core_type_for_pmu(std::string_view pmu_name) const;
@@ -192,11 +192,9 @@ class Library {
   Expected<std::vector<EventInfo>> eventset_info(int eventset) const;
 
   /// Number of perf groups the EventSet currently holds (1 on legacy,
-  /// one per PMU type with hybrid support) — exposed for tests and the
-  /// overhead bench.
+  /// one per PMU type with hybrid support) — exposed for tests and
+  /// examples.
   Expected<int> eventset_group_count(int eventset) const;
-
-  bool eventset_running(int eventset) const;
 
  private:
   Library(Backend* backend, LibraryConfig config);

@@ -456,15 +456,14 @@ void Daemon::on_read(ClientState& client, const Frame& frame) {
                   make_error(StatusCode::kNoEventSet, "no such session"));
     return;
   }
-  auto reading = library_->read_checked(it->second.eventset);
-  if (!reading) {
-    enqueue_error(client, frame.type, reading.status());
+  ReadReply reply;
+  const Status read =
+      library_->read_into(it->second.eventset, reply.values, &reply.degraded);
+  if (!read.is_ok()) {
+    enqueue_error(client, frame.type, read);
     return;
   }
   ++stats_.backend_reads;
-  ReadReply reply;
-  reply.values = std::move(reading->values);
-  reply.degraded = std::move(reading->value_degraded);
   enqueue(client, MsgType::kReadReply, reply.encode());
 }
 
@@ -864,12 +863,13 @@ void Daemon::serve_subscriptions() {
   for (DueRead& read : due) {
     ++stats_.backend_reads;
     if (read.sub->qualified) {
-      auto q = library_->read_qualified(read.sub->eventset);
-      if (!q) {
+      const Status status = library_->read_qualified_into(
+          read.sub->eventset, qualified_scratch_);
+      if (!status.is_ok()) {
         read.ok = 0;
         continue;
       }
-      for (const papi::QualifiedReading& slot : *q) {
+      for (const papi::QualifiedReading& slot : qualified_scratch_) {
         read.values.push_back(slot.total);
         read.degraded.push_back(slot.degraded ? 1 : 0);
         std::vector<std::pair<std::string, long long>> parts;
@@ -884,13 +884,9 @@ void Daemon::serve_subscriptions() {
         read.parts.push_back(std::move(parts));
       }
     } else {
-      auto reading = library_->read_checked(read.sub->eventset);
-      if (!reading) {
-        read.ok = 0;
-        continue;
-      }
-      read.values = std::move(reading->values);
-      read.degraded = std::move(reading->value_degraded);
+      const Status status = library_->read_into(read.sub->eventset,
+                                                read.values, &read.degraded);
+      if (!status.is_ok()) read.ok = 0;
     }
   }
 

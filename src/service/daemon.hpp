@@ -376,6 +376,9 @@ class Daemon {
   std::vector<Downstream> downstreams_;
   std::map<std::uint32_t, AggregateShared> agg_subs_;  // by agg key_id
   std::map<std::string, std::uint32_t> agg_key_ids_;
+  /// serve_subscriptions' per-core-type read target, kept across ticks
+  /// for capacity reuse.
+  std::vector<papi::QualifiedReading> qualified_scratch_;
 
   DaemonStats stats_;
   std::size_t shard_count_ = 1;

@@ -281,7 +281,7 @@ struct Read {
 
 struct ReadReply {
   std::vector<long long> values;          // one per added event
-  std::vector<std::uint8_t> degraded;     // 1 = partial sum (see Reading)
+  std::vector<std::uint8_t> degraded;     // 1 = partial sum (see read_into)
 
   std::vector<std::uint8_t> encode() const;
   static Expected<ReadReply> decode(const Frame& frame);

@@ -276,17 +276,24 @@ struct PerfRingView {
 /// commit() — the reader half of the ring protocol.
 class PerfRingCursor {
  public:
+  /// An unread span larger than the ring — data_tail ahead of
+  /// data_head (the subtraction wraps) or a head more than data_size
+  /// ahead — cannot be walked without re-reading bytes, so the cursor
+  /// starts out malformed and commit() resynchronizes the tail.
   explicit PerfRingCursor(const PerfRingView& view)
       : view_(view),
         head_(view.page != nullptr ? view.page->data_head : 0),
-        pos_(view.page != nullptr ? view.page->data_tail : 0) {}
+        pos_(view.page != nullptr ? view.page->data_tail : 0),
+        malformed_(view.page != nullptr && head_ - pos_ > view.size) {}
 
   /// Copy the next record (header + body) into `header`/`body`; returns
   /// false at the end of the ring. A header that is malformed (size
   /// smaller than the header itself, or larger than the unread span)
   /// stops the walk and marks the cursor malformed; commit() then
   /// resynchronizes the reader to data_head so one corrupt record
-  /// cannot wedge the ring forever.
+  /// cannot wedge the ring forever. A walk therefore returns at most
+  /// data_size / sizeof(PerfEventHeader) records, each inside the
+  /// unread span.
   bool next(PerfEventHeader* header, std::uint8_t* body,
             std::size_t body_capacity) {
     if (view_.page == nullptr || view_.data == nullptr || view_.size == 0) {

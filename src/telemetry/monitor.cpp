@@ -115,8 +115,9 @@ RunResult run_monitored_hpl(simkernel::SimKernel& kernel,
     if (monitor_config.per_core_type_counters) {
       // Label the constituents once — the breakdown structure is fixed
       // for the lifetime of the set, only the values change per sample.
-      if (const auto readings = papi_lib->read_qualified(papi_set)) {
-        for (const papi::QualifiedReading& reading : *readings) {
+      std::vector<papi::QualifiedReading> readings;
+      if (papi_lib->read_qualified_into(papi_set, readings).is_ok()) {
+        for (const papi::QualifiedReading& reading : readings) {
           std::vector<std::string> names;
           names.reserve(reading.parts.size());
           for (const papi::QualifiedValue& part : reading.parts) {

@@ -132,15 +132,16 @@ void Sampler::sample_counters(Sample& s) {
     return;
   }
 
-  // Collect this tick's per-slot (value, validity) pairs — same shape
+  // Collect this tick's per-slot (value, degraded) pairs — same shape
   // for the plain and qualified paths, so the drop bookkeeping below is
   // shared. The scratch buffers persist across ticks (capacity reuse),
-  // and the qualified path reads in place through read_qualified_into,
-  // so a steady-state tick allocates only the Sample's own vectors.
+  // and both paths read in place (read_into with a degraded buffer,
+  // read_qualified_into), so a steady-state tick allocates only the
+  // Sample's own vectors.
   std::vector<double>& values = values_scratch_;
-  std::vector<std::uint8_t>& valid = valid_tick_scratch_;
+  std::vector<std::uint8_t>& degraded = degraded_scratch_;
   values.clear();
-  valid.clear();
+  degraded.clear();
   if (qualified_) {
     const Status read = library_->read_qualified_into(eventset_,
                                                       qualified_scratch_);
@@ -150,11 +151,11 @@ void Sampler::sample_counters(Sample& s) {
     }
     const std::vector<papi::QualifiedReading>& readings = qualified_scratch_;
     values.reserve(readings.size());
-    valid.reserve(readings.size());
+    degraded.reserve(readings.size());
     s.counter_parts.reserve(readings.size());
     for (const papi::QualifiedReading& reading : readings) {
       values.push_back(static_cast<double>(reading.total));
-      valid.push_back(reading.degraded ? 0 : 1);
+      degraded.push_back(reading.degraded ? 1 : 0);
       std::vector<double> parts;
       parts.reserve(reading.parts.size());
       for (const papi::QualifiedValue& part : reading.parts) {
@@ -165,20 +166,13 @@ void Sampler::sample_counters(Sample& s) {
       s.counter_parts.push_back(std::move(parts));
     }
   } else {
-    const auto reading = library_->read_checked(eventset_);
-    if (!reading) {
+    const Status read =
+        library_->read_into(eventset_, counts_scratch_, &degraded);
+    if (!read.is_ok()) {
       fail_tick();
       return;
     }
-    values.reserve(reading->values.size());
-    valid.reserve(reading->values.size());
-    for (std::size_t i = 0; i < reading->values.size(); ++i) {
-      values.push_back(static_cast<double>(reading->values[i]));
-      valid.push_back(i < reading->value_degraded.size() &&
-                              reading->value_degraded[i] != 0
-                          ? 0
-                          : 1);
-    }
+    values.assign(counts_scratch_.begin(), counts_scratch_.end());
   }
   consecutive_set_failures_ = 0;
 
@@ -193,7 +187,7 @@ void Sampler::sample_counters(Sample& s) {
       s.counters.push_back(std::nan(""));
       continue;
     }
-    if (valid[i] != 0) {
+    if (degraded[i] == 0) {
       consecutive_invalid_[i] = 0;
       s.counters.push_back(values[i]);
       continue;

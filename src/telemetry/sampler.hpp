@@ -71,9 +71,11 @@ class Sampler {
 
   /// Also read `eventset` (already created and started on `library`) at
   /// every sample — the monitor's path from telemetry into the
-  /// component registry. Pass nullptr to detach. With `qualified` the
-  /// sampler reads through read_qualified and additionally fills
-  /// Sample::counter_parts with the per-PMU breakdown of every slot.
+  /// component registry. Pass nullptr to detach. Reads are tolerant:
+  /// the plain path uses read_into with a degraded buffer; with
+  /// `qualified` the sampler reads through read_qualified_into and
+  /// additionally fills Sample::counter_parts with the per-PMU breakdown
+  /// of every slot.
   /// A slot that fails `max_consecutive_failures` ticks in a row is
   /// dropped (reported NaN from then on); the same threshold on
   /// whole-set read failures abandons counter sampling entirely. The
@@ -106,11 +108,12 @@ class Sampler {
   CounterHealth health_;
   /// Consecutive failed/degraded ticks per slot (drop bookkeeping).
   std::vector<int> consecutive_invalid_;
-  /// Per-tick scratch, persistent for capacity reuse: the qualified
-  /// in-place read target and the shared (value, validity) staging.
+  /// Per-tick scratch, persistent for capacity reuse: the in-place read
+  /// targets and the shared (value, degraded) staging.
   std::vector<papi::QualifiedReading> qualified_scratch_;
+  std::vector<long long> counts_scratch_;
   std::vector<double> values_scratch_;
-  std::vector<std::uint8_t> valid_tick_scratch_;
+  std::vector<std::uint8_t> degraded_scratch_;
   int consecutive_set_failures_ = 0;
   std::string temp_path_;
   bool has_rapl_ = false;

@@ -11,6 +11,16 @@
 #include "workload/programs.hpp"
 
 namespace hetpapi {
+namespace cpumodel {
+
+// Print a preset as its name, not its raw bytes (which hold heap
+// addresses), so the registered ctest names are stable.
+void PrintTo(const MachineSpec& machine, std::ostream* os) {
+  *os << machine.name;
+}
+
+}  // namespace cpumodel
+
 namespace {
 
 using simkernel::CountKind;
@@ -82,8 +92,7 @@ INSTANTIATE_TEST_SUITE_P(
                       cpumodel::arm_three_type(),
                       cpumodel::homogeneous_xeon(),
                       cpumodel::sierra_forest_e_only(),
-                      cpumodel::granite_rapids_p_only()),
-    [](const auto& param_info) { return param_info.param.name; });
+                      cpumodel::granite_rapids_p_only()));
 
 }  // namespace
 }  // namespace hetpapi

@@ -101,24 +101,16 @@ struct ReadFixture {
   std::vector<long long> values;
 };
 
-/// Times read() (or read_into() when `into`) on rdpmc and fd twins and
-/// expects the rdpmc side within 1.5x of the fd side: the guard is
-/// against the fast path regressing past read(2), not against jitter.
+/// Times read_into() on rdpmc and fd twins and expects the rdpmc side
+/// within 1.5x of the fd side: the guard is against the fast path
+/// regressing past read(2), not against jitter.
 void expect_rdpmc_keeps_up(const char* machine,
-                           const std::vector<const char*>& events, bool into) {
+                           const std::vector<const char*>& events) {
   ReadFixture rdpmc(machine, events, /*use_rdpmc=*/true);
   ReadFixture fd(machine, events, /*use_rdpmc=*/false);
   bool ok = true;
-  const auto reader = [&ok, into](ReadFixture& f) {
-    return [&ok, into, &f] {
-      if (into) {
-        ok = f.lib->read_into(f.set, f.values).is_ok() && ok;
-        return;
-      }
-      auto values = f.lib->read(f.set);
-      ok = values.has_value() && ok;
-      if (values.has_value()) f.values = std::move(*values);
-    };
+  const auto reader = [&ok](ReadFixture& f) {
+    return [&ok, &f] { ok = f.lib->read_into(f.set, f.values).is_ok() && ok; };
   };
   const auto [rdpmc_ns, fd_ns] = paired_median_ns(reader(rdpmc), reader(fd));
   EXPECT_TRUE(ok);
@@ -128,8 +120,7 @@ void expect_rdpmc_keeps_up(const char* machine,
 }
 
 TEST_F(CostGuard, RdpmcSingletonReadKeepsUpWithFd) {
-  expect_rdpmc_keeps_up("raptorlake", {"adl_glc::INST_RETIRED:ANY"},
-                        /*into=*/false);
+  expect_rdpmc_keeps_up("raptorlake", {"adl_glc::INST_RETIRED:ANY"});
 }
 
 TEST_F(CostGuard, RdpmcHybridReadIntoKeepsUpWithFd) {
@@ -137,16 +128,14 @@ TEST_F(CostGuard, RdpmcHybridReadIntoKeepsUpWithFd) {
                         {"adl_glc::INST_RETIRED:ANY",
                          "adl_grt::INST_RETIRED:ANY",
                          "adl_glc::CPU_CLK_UNHALTED:THREAD",
-                         "adl_grt::CPU_CLK_UNHALTED:THREAD"},
-                        /*into=*/true);
+                         "adl_grt::CPU_CLK_UNHALTED:THREAD"});
 }
 
 TEST_F(CostGuard, RdpmcTriHybridReadIntoKeepsUpWithFd) {
   expect_rdpmc_keeps_up("meteorlake",
                         {"mtl_rwc::INST_RETIRED:ANY",
                          "mtl_cmt::INST_RETIRED:ANY",
-                         "mtl_lpe::INST_RETIRED:ANY"},
-                        /*into=*/true);
+                         "mtl_lpe::INST_RETIRED:ANY"});
 }
 
 // --- counter-service rider latency ---------------------------------------------

@@ -8,7 +8,18 @@
 #include "pfm/sim_host.hpp"
 #include "simkernel/kernel.hpp"
 
-namespace hetpapi::papi {
+namespace hetpapi {
+namespace cpumodel {
+
+// Print a preset as its name, not its raw bytes (which hold heap
+// addresses), so the registered ctest names are stable.
+void PrintTo(const MachineSpec& machine, std::ostream* os) {
+  *os << machine.name;
+}
+
+}  // namespace cpumodel
+
+namespace papi {
 namespace {
 
 using simkernel::SimKernel;
@@ -260,8 +271,8 @@ INSTANTIATE_TEST_SUITE_P(AllMachines, HardwareInfoTest,
                                            cpumodel::homogeneous_xeon(),
                                            cpumodel::arm_three_type(),
                                            cpumodel::meteor_lake_like(),
-                                           cpumodel::arm_dynamiq()),
-                         [](const auto& param_info) { return param_info.param.name; });
+                                           cpumodel::arm_dynamiq()));
 
 }  // namespace
-}  // namespace hetpapi::papi
+}  // namespace papi
+}  // namespace hetpapi

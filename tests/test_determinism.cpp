@@ -131,12 +131,12 @@ TEST(Determinism, QualifiedBreakdownIsWorkerCountInvariant) {
     (void)(*lib)->add_event(*set, "PAPI_TOT_INS");
     (void)(*lib)->start(*set);
     kernel.run_until_idle(std::chrono::seconds(60));
-    auto readings = (*lib)->read_qualified(*set);
-    EXPECT_TRUE(readings.has_value());
+    std::vector<papi::QualifiedReading> readings;
+    EXPECT_TRUE((*lib)->read_qualified_into(*set, readings).is_ok());
     (void)(*lib)->stop(*set);
     // Flatten the breakdown: total then every per-PMU part, in order.
     std::vector<long long> flat;
-    for (const papi::QualifiedReading& reading : *readings) {
+    for (const papi::QualifiedReading& reading : readings) {
       flat.push_back(reading.total);
       for (const papi::QualifiedValue& part : reading.parts) {
         flat.push_back(part.sign * part.value);

@@ -6,7 +6,10 @@
 // for identical seeds.
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <cmath>
+#include <map>
+#include <optional>
 #include <sstream>
 
 #include "cpumodel/machine.hpp"
@@ -53,32 +56,38 @@ void exercise_api_surface(Library& lib, SimKernel& kernel, Tid tid,
   }
   record("start", lib.start(*set));
   kernel.run_for(std::chrono::milliseconds(200));
-  if (const auto values = lib.read(*set)) {
+  std::vector<long long> values;
+  const Status strict = lib.read_into(*set, values);
+  if (strict.is_ok()) {
     trace << "read=ok[";
-    for (const long long v : *values) trace << v << ",";
+    for (const long long v : values) trace << v << ",";
     trace << "];";
   } else {
-    record("read", values.status());
+    record("read", strict);
   }
-  if (const auto checked = lib.read_checked(*set)) {
-    trace << "read_checked=ok degraded=" << checked->degraded << "[";
-    for (std::size_t i = 0; i < checked->values.size(); ++i) {
-      const bool bad = i < checked->value_degraded.size() &&
-                       checked->value_degraded[i] != 0;
-      trace << (bad ? -1 : checked->values[i]) << ",";
+  std::vector<std::uint8_t> degraded;
+  const Status tolerant = lib.read_into(*set, values, &degraded);
+  if (tolerant.is_ok()) {
+    const bool any_degraded =
+        std::find(degraded.begin(), degraded.end(), 1) != degraded.end();
+    trace << "read_tolerant=ok degraded=" << any_degraded << "[";
+    for (std::size_t i = 0; i < values.size(); ++i) {
+      trace << (degraded[i] != 0 ? -1 : values[i]) << ",";
     }
     trace << "];";
   } else {
-    record("read_checked", checked.status());
+    record("read_tolerant", tolerant);
   }
-  if (const auto qualified = lib.read_qualified(*set)) {
+  std::vector<papi::QualifiedReading> qualified;
+  const Status qualified_read = lib.read_qualified_into(*set, qualified);
+  if (qualified_read.is_ok()) {
     trace << "read_qualified=ok[";
-    for (const papi::QualifiedReading& reading : *qualified) {
+    for (const papi::QualifiedReading& reading : qualified) {
       trace << reading.total << "/" << reading.degraded << ",";
     }
     trace << "];";
   } else {
-    record("read_qualified", qualified.status());
+    record("read_qualified", qualified_read);
   }
   record("reset", lib.reset(*set));
   kernel.run_for(std::chrono::milliseconds(100));
@@ -173,6 +182,126 @@ TEST(FaultInjection, NoneProfileIsTransparent) {
   EXPECT_NE(injected.find("start=ok;"), std::string::npos) << injected;
 }
 
+/// Forwards to a SimBackend; once `dead_type` is set, every read of an
+/// fd opened on that PMU type fails the way a stale counter fd does
+/// (kSystem) — one dead counter group, chosen deterministically.
+class DeadPmuBackend final : public papi::Backend {
+ public:
+  explicit DeadPmuBackend(SimBackend* inner) : inner_(inner) {}
+
+  std::optional<std::uint32_t> dead_type;
+
+  Expected<int> perf_event_open(const simkernel::PerfEventAttr& attr, Tid tid,
+                                int cpu, int group_fd,
+                                std::uint64_t flags) override {
+    auto fd = inner_->perf_event_open(attr, tid, cpu, group_fd, flags);
+    if (fd.has_value()) fd_type_[*fd] = attr.type;
+    return fd;
+  }
+  Status perf_ioctl(int fd, papi::PerfIoctl op, std::uint32_t flags) override {
+    return inner_->perf_ioctl(fd, op, flags);
+  }
+  Expected<papi::PerfValue> perf_read(int fd) override {
+    if (dead(fd)) return stale();
+    return inner_->perf_read(fd);
+  }
+  Expected<std::vector<papi::PerfValue>> perf_read_group(int fd) override {
+    if (dead(fd)) return stale();
+    return inner_->perf_read_group(fd);
+  }
+  Expected<std::uint64_t> perf_rdpmc(int fd) override {
+    return inner_->perf_rdpmc(fd);
+  }
+  Status perf_close(int fd) override {
+    fd_type_.erase(fd);
+    return inner_->perf_close(fd);
+  }
+  const pfm::Host& host() const override { return inner_->host(); }
+  Tid default_target() const override { return inner_->default_target(); }
+
+ private:
+  bool dead(int fd) const {
+    const auto it = fd_type_.find(fd);
+    return dead_type.has_value() && it != fd_type_.end() &&
+           it->second == *dead_type;
+  }
+  static Status stale() {
+    return make_error(StatusCode::kSystem, "counter fd went stale");
+  }
+
+  SimBackend* inner_;
+  std::map<int, std::uint32_t> fd_type_;
+};
+
+TEST(FaultInjection, ReadIntoIsStrictWithoutDegradedBufferTolerantWithOne) {
+  SimKernel kernel(cpumodel::raptor_lake_i7_13700());
+  SimBackend backend(&kernel);
+  DeadPmuBackend killable(&backend);
+  // Work on an E core, then on a P core, so both constituents of the
+  // derived PAPI_TOT_INS count. Simulated time only moves in run_for,
+  // so every read below sees the same counts.
+  const Tid tid = kernel.spawn(
+      std::make_shared<FixedWorkProgram>(PhaseSpec{}, 100'000'000'000ULL),
+      CpuSet::of({16}));
+  backend.set_default_target(tid);
+
+  LibraryConfig config;
+  config.call_overhead_instructions = 0;  // reads charge no work
+  {
+    auto lib = Library::init(&killable, config);
+    ASSERT_TRUE(lib.has_value());
+    auto set = (*lib)->create_eventset();
+    ASSERT_TRUE(set.has_value());
+    ASSERT_TRUE((*lib)->attach(*set, tid).is_ok());
+    ASSERT_TRUE((*lib)->add_event(*set, "PAPI_TOT_INS").is_ok());
+    ASSERT_TRUE(
+        (*lib)->add_event(*set, "adl_glc::CPU_CLK_UNHALTED:THREAD").is_ok());
+    ASSERT_TRUE((*lib)->start(*set).is_ok());
+    kernel.run_for(std::chrono::milliseconds(20));
+    ASSERT_TRUE(kernel.set_affinity(tid, CpuSet::of({0})).is_ok());
+    kernel.run_for(std::chrono::milliseconds(20));
+
+    // Healthy: both forms return the same values and no flag is set.
+    std::vector<long long> strict;
+    std::vector<long long> tolerant;
+    std::vector<std::uint8_t> degraded;
+    ASSERT_TRUE((*lib)->read_into(*set, strict).is_ok());
+    ASSERT_TRUE((*lib)->read_into(*set, tolerant, &degraded).is_ok());
+    EXPECT_EQ(tolerant, strict);
+    EXPECT_EQ(degraded, (std::vector<std::uint8_t>{0, 0}));
+    std::vector<papi::QualifiedReading> qualified;
+    ASSERT_TRUE((*lib)->read_qualified_into(*set, qualified).is_ok());
+    ASSERT_EQ(qualified.size(), 2u);
+    ASSERT_EQ(qualified[0].parts.size(), 2u);
+    long long p_part = -1;
+    for (const papi::QualifiedValue& part : qualified[0].parts) {
+      EXPECT_GT(part.value, 0) << part.native_name;
+      if (part.pmu_name == "adl_glc") p_part = part.value;
+    }
+    ASSERT_GT(p_part, 0);
+
+    // The E-core group dies. Strict: the call fails and `out` is left
+    // as it was. Tolerant: the derived slot becomes the partial sum
+    // over the live P constituent and is flagged; the slot served
+    // wholly by the P group is exact and unflagged.
+    killable.dead_type = kernel.pmus().find_by_name("cpu_atom")->type_id;
+    std::vector<long long> after = strict;
+    EXPECT_EQ((*lib)->read_into(*set, after).code(), StatusCode::kSystem);
+    EXPECT_EQ(after, strict);
+    ASSERT_TRUE((*lib)->read_into(*set, tolerant, &degraded).is_ok());
+    EXPECT_EQ(degraded, (std::vector<std::uint8_t>{1, 0}));
+    EXPECT_EQ(tolerant[0], p_part);
+    EXPECT_LT(tolerant[0], strict[0]);
+    EXPECT_EQ(tolerant[1], strict[1]);
+    ASSERT_TRUE((*lib)->read_qualified_into(*set, qualified).is_ok());
+    EXPECT_TRUE(qualified[0].degraded);
+    EXPECT_EQ(qualified[0].total, tolerant[0])
+        << "the qualified total and the tolerant read agree";
+    EXPECT_FALSE(qualified[1].degraded);
+  }
+  EXPECT_EQ(backend.open_fd_count(), 0u) << "fd ledger clean at teardown";
+}
+
 TEST(FaultInjection, TransientReadBurstsAreRiddenOutByBoundedRetry) {
   SimKernel kernel(cpumodel::raptor_lake_i7_13700());
   SimBackend backend(&kernel);
@@ -194,11 +323,15 @@ TEST(FaultInjection, TransientReadBurstsAreRiddenOutByBoundedRetry) {
   // the bounded retry rides the burst out, or the slot is marked
   // degraded for that read.
   int degraded_reads = 0;
+  std::vector<long long> values;
+  std::vector<std::uint8_t> degraded;
   for (int i = 0; i < 200; ++i) {
     kernel.run_for(std::chrono::milliseconds(5));
-    const auto reading = (*lib)->read_checked(*set);
-    ASSERT_TRUE(reading.has_value()) << reading.status().to_string();
-    if (reading->degraded) ++degraded_reads;
+    const Status read = (*lib)->read_into(*set, values, &degraded);
+    ASSERT_TRUE(read.is_ok()) << read.to_string();
+    if (std::find(degraded.begin(), degraded.end(), 1) != degraded.end()) {
+      ++degraded_reads;
+    }
   }
   EXPECT_GT(injector.stats().reads_injected_transient, 0u);
   // Burst (2) < retry budget (4): most transients are absorbed.

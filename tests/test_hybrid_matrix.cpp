@@ -50,13 +50,15 @@ struct MatrixCase {
   Pinning pinning;
 };
 
-std::string case_name(const ::testing::TestParamInfo<MatrixCase>& info) {
-  std::string name = info.param.machine_name + "_" + info.param.preset + "_" +
-                     to_string(info.param.pinning);
+// Print a case as its name, not its raw bytes (which hold heap
+// addresses), so the registered ctest names are stable.
+void PrintTo(const MatrixCase& param, std::ostream* os) {
+  std::string name = param.machine_name + "_" + param.preset + "_" +
+                     to_string(param.pinning);
   for (char& c : name) {
     if (c == ':' || c == '-') c = '_';
   }
-  return name;
+  *os << name;
 }
 
 /// Scope guard: when it runs (after the test's Library is destroyed),
@@ -178,9 +180,8 @@ struct QualifiedCase {
   EventFlavor flavor;
 };
 
-std::string qualified_case_name(
-    const ::testing::TestParamInfo<QualifiedCase>& info) {
-  return info.param.machine_name + "_" + to_string(info.param.flavor);
+void PrintTo(const QualifiedCase& param, std::ostream* os) {
+  *os << param.machine_name << "_" << to_string(param.flavor);
 }
 
 class QualifiedMatrixTest : public ::testing::TestWithParam<QualifiedCase> {};
@@ -244,15 +245,17 @@ TEST_P(QualifiedMatrixTest, BreakdownSumsToTotalAndMatchesGroundTruth) {
 
   ASSERT_TRUE((*lib)->start(*set).is_ok());
   kernel.run_until_idle(std::chrono::seconds(120));
-  auto values = (*lib)->read(*set);
-  ASSERT_TRUE(values.has_value()) << values.status().to_string();
-  auto readings = (*lib)->read_qualified(*set);
-  ASSERT_TRUE(readings.has_value()) << readings.status().to_string();
+  std::vector<long long> values;
+  const Status read = (*lib)->read_into(*set, values);
+  ASSERT_TRUE(read.is_ok()) << read.to_string();
+  std::vector<papi::QualifiedReading> readings;
+  const Status qualified = (*lib)->read_qualified_into(*set, readings);
+  ASSERT_TRUE(qualified.is_ok()) << qualified.to_string();
   ASSERT_TRUE((*lib)->stop(*set).has_value());
 
-  ASSERT_EQ(readings->size(), values->size());
-  const papi::QualifiedReading& first = readings->front();
-  EXPECT_EQ(first.total, (*values)[0])
+  ASSERT_EQ(readings.size(), values.size());
+  const papi::QualifiedReading& first = readings.front();
+  EXPECT_EQ(first.total, values[0])
       << "qualified total must equal the transparent read";
   ASSERT_EQ(first.parts.size(), expected_parts);
   long long signed_sum = 0;
@@ -287,7 +290,7 @@ TEST_P(QualifiedMatrixTest, BreakdownSumsToTotalAndMatchesGroundTruth) {
   if (param.flavor == EventFlavor::kMixedUncore) {
     // The uncore slot reads alongside the derived preset and its single
     // constituent is unattributed to any core type.
-    const papi::QualifiedReading& uncore = readings->back();
+    const papi::QualifiedReading& uncore = readings.back();
     ASSERT_EQ(uncore.parts.size(), 1u);
     EXPECT_EQ(uncore.parts[0].pmu_name, "unc_imc_0");
     EXPECT_TRUE(uncore.parts[0].core_type.empty());
@@ -312,8 +315,7 @@ std::vector<QualifiedCase> make_qualified_cases() {
 }
 
 INSTANTIATE_TEST_SUITE_P(AllCombinations, QualifiedMatrixTest,
-                         ::testing::ValuesIn(make_qualified_cases()),
-                         qualified_case_name);
+                         ::testing::ValuesIn(make_qualified_cases()));
 
 // papi_hybrid_100m-style validation: summing the derived preset's parts
 // reproduces the plain single-PMU total — on a homogeneous model the
@@ -378,17 +380,17 @@ TEST(QualifiedMatrixTest, PinnedHybridForeignPartReadsZero) {
   ASSERT_TRUE((*lib)->add_event(*set, "PAPI_TOT_INS").is_ok());
   ASSERT_TRUE((*lib)->start(*set).is_ok());
   kernel.run_until_idle(std::chrono::seconds(120));
-  auto readings = (*lib)->read_qualified(*set);
-  ASSERT_TRUE(readings.has_value());
+  std::vector<papi::QualifiedReading> readings;
+  ASSERT_TRUE((*lib)->read_qualified_into(*set, readings).is_ok());
   ASSERT_TRUE((*lib)->stop(*set).has_value());
 
-  ASSERT_EQ(readings->size(), 1u);
+  ASSERT_EQ(readings.size(), 1u);
   long long p_part = -1, e_part = -1;
-  for (const papi::QualifiedValue& part : readings->front().parts) {
+  for (const papi::QualifiedValue& part : readings.front().parts) {
     if (part.core_type == "intel_core") p_part = part.value;
     if (part.core_type == "intel_atom") e_part = part.value;
   }
-  EXPECT_EQ(p_part, readings->front().total)
+  EXPECT_EQ(p_part, readings.front().total)
       << "pinned to a P core, the P part carries the whole total";
   EXPECT_EQ(e_part, 0) << "the E part of a P-pinned run must be zero";
 }
@@ -425,12 +427,12 @@ TEST_P(TriHybridPinnedTest, ForeignPartsReadZeroPinnedTypeCarriesTotal) {
   ASSERT_TRUE((*lib)->add_event(*set, "PAPI_TOT_INS").is_ok());
   ASSERT_TRUE((*lib)->start(*set).is_ok());
   kernel.run_until_idle(std::chrono::seconds(120));
-  auto readings = (*lib)->read_qualified(*set);
-  ASSERT_TRUE(readings.has_value());
+  std::vector<papi::QualifiedReading> readings;
+  ASSERT_TRUE((*lib)->read_qualified_into(*set, readings).is_ok());
   ASSERT_TRUE((*lib)->stop(*set).has_value());
 
-  ASSERT_EQ(readings->size(), 1u);
-  const papi::QualifiedReading& reading = readings->front();
+  ASSERT_EQ(readings.size(), 1u);
+  const papi::QualifiedReading& reading = readings.front();
   ASSERT_EQ(reading.parts.size(), 3u)
       << "the derived preset must expand to one part per core PMU";
   EXPECT_GT(reading.total, 0);
@@ -481,7 +483,7 @@ std::vector<MatrixCase> make_cases() {
 }
 
 INSTANTIATE_TEST_SUITE_P(AllCombinations, HybridMatrixTest,
-                         ::testing::ValuesIn(make_cases()), case_name);
+                         ::testing::ValuesIn(make_cases()));
 
 }  // namespace
 }  // namespace hetpapi

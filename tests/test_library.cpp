@@ -186,7 +186,8 @@ TEST_F(LibraryTest, StartStopStateMachineErrors) {
   EXPECT_EQ(lib->destroy_eventset(*set).code(), StatusCode::kAlreadyRunning);
   ASSERT_TRUE(lib->stop(*set).has_value());
   EXPECT_TRUE(lib->destroy_eventset(*set).is_ok());
-  EXPECT_EQ(lib->read(*set).status().code(), StatusCode::kNoEventSet);
+  std::vector<long long> values;
+  EXPECT_EQ(lib->read_into(*set, values).code(), StatusCode::kNoEventSet);
 }
 
 TEST_F(LibraryTest, OneRunningEventSetPerComponent) {
@@ -232,9 +233,9 @@ TEST_F(LibraryTest, UnifiedUncoreJoinsCombinedEventSet) {
   EXPECT_EQ(*groups, 3);  // adl_glc + adl_grt + imc
   ASSERT_TRUE(lib->start(*set).is_ok());
   kernel_.run_for(std::chrono::seconds(1));
-  auto values = lib->read(*set);
-  ASSERT_TRUE(values.has_value());
-  EXPECT_GT((*values)[1], 0) << "memory traffic observed";
+  std::vector<long long> values;
+  ASSERT_TRUE(lib->read_into(*set, values).is_ok());
+  EXPECT_GT(values[1], 0) << "memory traffic observed";
 }
 
 TEST_F(LibraryTest, MultiplexedEventSetScalesEstimates) {
@@ -465,13 +466,15 @@ TEST(LibraryReadPlanTest, CacheSurvivesAddAndRemove) {
         EXPECT_TRUE((*lib)->start(*set).is_ok());
         EXPECT_TRUE((*twin)->start(*fresh).is_ok());
         kernel.run_for(std::chrono::milliseconds(20));
-        auto cached = (*lib)->read(*set);
-        auto reference = (*twin)->read(*fresh);
+        std::vector<long long> cached;
+        std::vector<long long> reference;
+        const Status cached_read = (*lib)->read_into(*set, cached);
+        const Status reference_read = (*twin)->read_into(*fresh, reference);
         EXPECT_TRUE((*lib)->stop(*set).has_value());
         EXPECT_TRUE((*twin)->stop(*fresh).has_value());
-        EXPECT_TRUE(cached.has_value()) << cached.status().to_string();
-        EXPECT_TRUE(reference.has_value());
-        return std::make_pair(cached.value_or({}), reference.value_or({}));
+        EXPECT_TRUE(cached_read.is_ok()) << cached_read.to_string();
+        EXPECT_TRUE(reference_read.is_ok());
+        return std::make_pair(cached, reference);
       };
 
   ASSERT_TRUE((*lib)->add_event(*set, "adl_glc::INST_RETIRED:ANY").is_ok());

@@ -85,13 +85,13 @@ TEST_F(MarkerTest, RegionDeltasMatchBracketingReads) {
   markers.set_time_source(&sim_clock, &kernel_);
   ASSERT_TRUE(markers.attach_thread(lib_.get(), set).is_ok());
 
-  auto before = lib_->read(set);
-  ASSERT_TRUE(before.has_value());
+  std::vector<long long> before;
+  ASSERT_TRUE(lib_->read_into(set, before).is_ok());
   ASSERT_TRUE(markers.region_begin("work").is_ok());
   kernel_.run_for(std::chrono::milliseconds(10));
   ASSERT_TRUE(markers.region_end("work").is_ok());
-  auto after = lib_->read(set);
-  ASSERT_TRUE(after.has_value());
+  std::vector<long long> after;
+  ASSERT_TRUE(lib_->read_into(set, after).is_ok());
 
   const auto regions = markers.report();
   const RegionStats* work = find_region(regions, "work");
@@ -100,7 +100,7 @@ TEST_F(MarkerTest, RegionDeltasMatchBracketingReads) {
   EXPECT_EQ(work->time, 10'000'000u) << "sim clock: exactly the run_for span";
   ASSERT_EQ(work->totals.size(), 2u);
   for (std::size_t i = 0; i < 2; ++i) {
-    EXPECT_EQ(work->totals[i], (*after)[i] - (*before)[i])
+    EXPECT_EQ(work->totals[i], after[i] - before[i])
         << "slot " << i << ": marker delta must equal the bracketing reads";
     EXPECT_GT(work->totals[i], 0);
   }

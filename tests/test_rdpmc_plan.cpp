@@ -93,20 +93,21 @@ TEST_F(RdpmcPlanTest, HybridGroupValuesMatchFdPathExactly) {
   const int fast = started_set(*rdpmc_lib_, tid, events);
   const int slow = started_set(*fd_lib_, tid, events);
 
+  std::vector<long long> via_pages;
+  std::vector<long long> via_fds;
   for (int step = 0; step < 4; ++step) {
     kernel_.run_for(std::chrono::milliseconds(10));
-    auto via_pages = rdpmc_lib_->read(fast);
-    auto via_fds = fd_lib_->read(slow);
-    ASSERT_TRUE(via_pages.has_value()) << via_pages.status().to_string();
-    ASSERT_TRUE(via_fds.has_value());
-    ASSERT_EQ(via_pages->size(), events.size());
-    EXPECT_EQ(*via_pages, *via_fds) << "step " << step;
+    const Status read = rdpmc_lib_->read_into(fast, via_pages);
+    ASSERT_TRUE(read.is_ok()) << read.to_string();
+    ASSERT_TRUE(fd_lib_->read_into(slow, via_fds).is_ok());
+    ASSERT_EQ(via_pages.size(), events.size());
+    EXPECT_EQ(via_pages, via_fds) << "step " << step;
   }
   // The thread ran on a P core: its P-PMU slots counted, E-PMU stayed 0.
-  auto values = rdpmc_lib_->read(fast);
-  ASSERT_TRUE(values.has_value());
-  EXPECT_GT((*values)[0], 0);
-  EXPECT_EQ((*values)[1], 0);
+  std::vector<long long> values;
+  ASSERT_TRUE(rdpmc_lib_->read_into(fast, values).is_ok());
+  EXPECT_GT(values[0], 0);
+  EXPECT_EQ(values[1], 0);
 }
 
 TEST_F(RdpmcPlanTest, DerivedPresetMatchesFdPathExactly) {
@@ -116,18 +117,18 @@ TEST_F(RdpmcPlanTest, DerivedPresetMatchesFdPathExactly) {
   const int slow = started_set(*fd_lib_, tid, events);
   kernel_.run_for(std::chrono::milliseconds(50));
 
-  auto via_pages = rdpmc_lib_->read_qualified(fast);
-  auto via_fds = fd_lib_->read_qualified(slow);
-  ASSERT_TRUE(via_pages.has_value());
-  ASSERT_TRUE(via_fds.has_value());
-  ASSERT_EQ(via_pages->size(), 2u);
-  for (std::size_t i = 0; i < via_pages->size(); ++i) {
-    EXPECT_EQ((*via_pages)[i].total, (*via_fds)[i].total);
-    ASSERT_EQ((*via_pages)[i].parts.size(), (*via_fds)[i].parts.size());
-    for (std::size_t p = 0; p < (*via_pages)[i].parts.size(); ++p) {
-      EXPECT_EQ((*via_pages)[i].parts[p].value, (*via_fds)[i].parts[p].value);
-      EXPECT_EQ((*via_pages)[i].parts[p].core_type,
-                (*via_fds)[i].parts[p].core_type);
+  std::vector<papi::QualifiedReading> via_pages;
+  std::vector<papi::QualifiedReading> via_fds;
+  ASSERT_TRUE(rdpmc_lib_->read_qualified_into(fast, via_pages).is_ok());
+  ASSERT_TRUE(fd_lib_->read_qualified_into(slow, via_fds).is_ok());
+  ASSERT_EQ(via_pages.size(), 2u);
+  for (std::size_t i = 0; i < via_pages.size(); ++i) {
+    EXPECT_EQ(via_pages[i].total, via_fds[i].total);
+    ASSERT_EQ(via_pages[i].parts.size(), via_fds[i].parts.size());
+    for (std::size_t p = 0; p < via_pages[i].parts.size(); ++p) {
+      EXPECT_EQ(via_pages[i].parts[p].value, via_fds[i].parts[p].value);
+      EXPECT_EQ(via_pages[i].parts[p].core_type,
+                via_fds[i].parts[p].core_type);
     }
   }
 }
@@ -156,14 +157,14 @@ TEST_F(RdpmcPlanTest, MultiplexedScaledReadsUsePageTimes) {
   const int slow = started_set(*fd_lib_, tid, events, /*multiplex=*/true);
   kernel_.run_for(std::chrono::seconds(3));
 
-  auto via_pages = rdpmc_lib_->read(fast);
-  auto via_fds = fd_lib_->read(slow);
-  ASSERT_TRUE(via_pages.has_value());
-  ASSERT_TRUE(via_fds.has_value());
-  ASSERT_EQ(via_pages->size(), events.size());
+  std::vector<long long> via_pages;
+  std::vector<long long> via_fds;
+  ASSERT_TRUE(rdpmc_lib_->read_into(fast, via_pages).is_ok());
+  ASSERT_TRUE(fd_lib_->read_into(slow, via_fds).is_ok());
+  ASSERT_EQ(via_pages.size(), events.size());
   for (std::size_t i = 0; i < events.size(); ++i) {
-    const double a = static_cast<double>((*via_pages)[i]);
-    const double b = static_cast<double>((*via_fds)[i]);
+    const double a = static_cast<double>(via_pages[i]);
+    const double b = static_cast<double>(via_fds[i]);
     EXPECT_GT(a, 0.0) << events[i];
     // The twin sets rotate independently, so estimates (not raw
     // values) are compared, at the established multiplex tolerance.
@@ -177,7 +178,9 @@ TEST_F(RdpmcPlanTest, PlanRebuiltAcrossAddAndRemove) {
   const int fast = started_set(*rdpmc_lib_, tid, events);
   const int slow = started_set(*fd_lib_, tid, events);
   kernel_.run_for(std::chrono::milliseconds(10));
-  ASSERT_TRUE(rdpmc_lib_->read(fast).has_value());
+  std::vector<long long> via_pages;
+  std::vector<long long> via_fds;
+  ASSERT_TRUE(rdpmc_lib_->read_into(fast, via_pages).is_ok());
 
   // Grow the set: the cached plan must not survive the re-open.
   ASSERT_TRUE(rdpmc_lib_->stop(fast).has_value());
@@ -189,15 +192,11 @@ TEST_F(RdpmcPlanTest, PlanRebuiltAcrossAddAndRemove) {
   ASSERT_TRUE(rdpmc_lib_->start(fast).is_ok());
   ASSERT_TRUE(fd_lib_->start(slow).is_ok());
   kernel_.run_for(std::chrono::milliseconds(10));
-  {
-    auto via_pages = rdpmc_lib_->read(fast);
-    auto via_fds = fd_lib_->read(slow);
-    ASSERT_TRUE(via_pages.has_value());
-    ASSERT_TRUE(via_fds.has_value());
-    ASSERT_EQ(via_pages->size(), 2u);
-    EXPECT_EQ(*via_pages, *via_fds);
-    EXPECT_GT((*via_pages)[1], 0);
-  }
+  ASSERT_TRUE(rdpmc_lib_->read_into(fast, via_pages).is_ok());
+  ASSERT_TRUE(fd_lib_->read_into(slow, via_fds).is_ok());
+  ASSERT_EQ(via_pages.size(), 2u);
+  EXPECT_EQ(via_pages, via_fds);
+  EXPECT_GT(via_pages[1], 0);
 
   // Shrink it again: one slot, still page-served, still exact.
   ASSERT_TRUE(rdpmc_lib_->stop(fast).has_value());
@@ -208,12 +207,10 @@ TEST_F(RdpmcPlanTest, PlanRebuiltAcrossAddAndRemove) {
   ASSERT_TRUE(rdpmc_lib_->start(fast).is_ok());
   ASSERT_TRUE(fd_lib_->start(slow).is_ok());
   kernel_.run_for(std::chrono::milliseconds(10));
-  auto via_pages = rdpmc_lib_->read(fast);
-  auto via_fds = fd_lib_->read(slow);
-  ASSERT_TRUE(via_pages.has_value());
-  ASSERT_TRUE(via_fds.has_value());
-  ASSERT_EQ(via_pages->size(), 1u);
-  EXPECT_EQ(*via_pages, *via_fds);
+  ASSERT_TRUE(rdpmc_lib_->read_into(fast, via_pages).is_ok());
+  ASSERT_TRUE(fd_lib_->read_into(slow, via_fds).is_ok());
+  ASSERT_EQ(via_pages.size(), 1u);
+  EXPECT_EQ(via_pages, via_fds);
 }
 
 TEST_F(RdpmcPlanTest, MigrationFallsBackToFdPath) {
@@ -223,30 +220,28 @@ TEST_F(RdpmcPlanTest, MigrationFallsBackToFdPath) {
   const int fast = started_set(*rdpmc_lib_, tid, events);
   const int slow = started_set(*fd_lib_, tid, events);
   kernel_.run_for(std::chrono::milliseconds(10));
-  auto before = rdpmc_lib_->read(fast);
-  ASSERT_TRUE(before.has_value());
-  EXPECT_GT((*before)[0], 0);
+  std::vector<long long> before;
+  ASSERT_TRUE(rdpmc_lib_->read_into(fast, before).is_ok());
+  EXPECT_GT(before[0], 0);
 
   // On an E core the cpu_core events are off-PMU: pages report
   // not-resident and reads must transparently come from the fds.
   ASSERT_TRUE(kernel_.set_affinity(tid, CpuSet::of({16})).is_ok());
   kernel_.run_for(std::chrono::milliseconds(10));
-  auto via_pages = rdpmc_lib_->read(fast);
-  auto via_fds = fd_lib_->read(slow);
-  ASSERT_TRUE(via_pages.has_value())
+  std::vector<long long> via_pages;
+  std::vector<long long> via_fds;
+  ASSERT_TRUE(rdpmc_lib_->read_into(fast, via_pages).is_ok())
       << "migration must degrade to the fd path, not fail the read";
-  ASSERT_TRUE(via_fds.has_value());
-  EXPECT_EQ(*via_pages, *via_fds);
-  EXPECT_GE((*via_pages)[0], (*before)[0]) << "count survives the migration";
+  ASSERT_TRUE(fd_lib_->read_into(slow, via_fds).is_ok());
+  EXPECT_EQ(via_pages, via_fds);
+  EXPECT_GE(via_pages[0], before[0]) << "count survives the migration";
 
   // Back on a P core the pages serve again, still agreeing.
   ASSERT_TRUE(kernel_.set_affinity(tid, CpuSet::of({0})).is_ok());
   kernel_.run_for(std::chrono::milliseconds(10));
-  via_pages = rdpmc_lib_->read(fast);
-  via_fds = fd_lib_->read(slow);
-  ASSERT_TRUE(via_pages.has_value());
-  ASSERT_TRUE(via_fds.has_value());
-  EXPECT_EQ(*via_pages, *via_fds);
+  ASSERT_TRUE(rdpmc_lib_->read_into(fast, via_pages).is_ok());
+  ASSERT_TRUE(fd_lib_->read_into(slow, via_fds).is_ok());
+  EXPECT_EQ(via_pages, via_fds);
 }
 
 // --- fault profiles: the plan under a hostile kernel (chaos CI shard) -------
@@ -277,10 +272,11 @@ TEST(FaultInjectionRdpmc, DeniedMmapsFallBackToFdsAndLeakNothing) {
   ASSERT_TRUE((*lib)->start(*set).is_ok());
   kernel.run_for(std::chrono::milliseconds(20));
 
-  auto values = (*lib)->read(*set);
-  ASSERT_TRUE(values.has_value()) << "fd fallback must serve the read";
-  EXPECT_GT((*values)[0], 0);
-  EXPECT_GT((*values)[1], 0);
+  std::vector<long long> values;
+  ASSERT_TRUE((*lib)->read_into(*set, values).is_ok())
+      << "fd fallback must serve the read";
+  EXPECT_GT(values[0], 0);
+  EXPECT_GT(values[1], 0);
   EXPECT_GT(injector.stats().mmaps_denied, 0u)
       << "the plan did try to map user pages";
   EXPECT_EQ(injector.stats().total_injected(), 0u)
@@ -323,10 +319,12 @@ TEST(FaultInjectionRdpmc, MixedProfileSoakLeaksNoFds) {
           (void)(*lib)->add_event(*set, event);
         }
         (void)(*lib)->start(*set);
+        std::vector<long long> values;
+        std::vector<std::uint8_t> degraded;
         for (int step = 0; step < 6; ++step) {
           kernel.run_for(std::chrono::milliseconds(10));
-          (void)(*lib)->read(*set);
-          (void)(*lib)->read_checked(*set);
+          (void)(*lib)->read_into(*set, values);
+          (void)(*lib)->read_into(*set, values, &degraded);
         }
         (void)(*lib)->stop(*set);
         (void)(*lib)->destroy_eventset(*set);
@@ -340,7 +338,7 @@ TEST(FaultInjectionRdpmc, MixedProfileSoakLeaksNoFds) {
 
 TEST(FaultInjectionRdpmc, StaleFdProfileDegradesWithoutLeaking) {
   // rdpmc off + counters dying mid-run: strict reads may fail, but
-  // read_checked keeps collecting with degraded slots, and teardown
+  // a tolerant read_into keeps collecting with degraded slots, and teardown
   // closes every fd the injector ever handed out.
   SimKernel kernel(cpumodel::raptor_lake_i7_13700());
   SimBackend backend(&kernel);
@@ -364,12 +362,15 @@ TEST(FaultInjectionRdpmc, StaleFdProfileDegradesWithoutLeaking) {
     ASSERT_TRUE((*lib)->add_event(*set, "PAPI_TOT_INS").is_ok());
     ASSERT_TRUE((*lib)->add_event(*set, "PAPI_TOT_CYC").is_ok());
     if ((*lib)->start(*set).is_ok()) {
+      std::vector<long long> values;
+      std::vector<std::uint8_t> degraded;
       for (int step = 0; step < 20; ++step) {
         kernel.run_for(std::chrono::milliseconds(5));
-        if (auto checked = (*lib)->read_checked(*set)) {
-          ASSERT_EQ(checked->values.size(), 2u);
-          for (std::size_t i = 0; i < checked->values.size(); ++i) {
-            EXPECT_GE(checked->values[i], 0) << "no garbage values";
+        if ((*lib)->read_into(*set, values, &degraded).is_ok()) {
+          ASSERT_EQ(values.size(), 2u);
+          ASSERT_EQ(degraded.size(), 2u);
+          for (std::size_t i = 0; i < values.size(); ++i) {
+            EXPECT_GE(values[i], 0) << "no garbage values";
           }
         }
       }
