@@ -1,6 +1,7 @@
 #include "service/client.hpp"
 
 #include <algorithm>
+#include <iterator>
 #include <utility>
 
 namespace hetpapi::service {
@@ -474,14 +475,16 @@ Status Client::close() {
 std::vector<WireSample> Client::take_samples() {
   // Sweep the transport once so freshly flushed samples are included.
   if (connected() || reconnect_enabled_) pump_once();
-  std::vector<WireSample> out(samples_.begin(), samples_.end());
+  std::vector<WireSample> out(std::make_move_iterator(samples_.begin()),
+                              std::make_move_iterator(samples_.end()));
   samples_.clear();
   return out;
 }
 
 std::vector<AggSample> Client::take_agg_samples() {
   if (connected() || reconnect_enabled_) pump_once();
-  std::vector<AggSample> out(agg_samples_.begin(), agg_samples_.end());
+  std::vector<AggSample> out(std::make_move_iterator(agg_samples_.begin()),
+                             std::make_move_iterator(agg_samples_.end()));
   agg_samples_.clear();
   return out;
 }

@@ -142,7 +142,12 @@ void Daemon::accept_pending() {
       client->shard = client->id % shard_count_;
       client->conn = std::move(*conn);
       client->last_activity_tick = stats_.ticks;
-      clients_by_id_.emplace(client->id, client.get());
+      ClientState* state = client.get();
+      state->poll_always = !state->conn->notify_readable(
+          [this, state] { mark_ready(*state); });
+      // The peer's hello may have been queued before the accept.
+      mark_ready(*state);
+      clients_by_id_.emplace(client->id, state);
       clients_.push_back(std::move(client));
     }
   }
@@ -203,6 +208,21 @@ void Daemon::enforce_queue_cap(ClientState& client) {
   (void)client.conn->send(frame.data(), frame.size());
   ++stats_.frames_sent;
   client.conn->close();
+}
+
+void Daemon::mark_ready(ClientState& client) {
+  if (client.ready) return;
+  client.ready = true;
+  ready_.push_back(client.id);
+}
+
+void Daemon::flush_pending(ClientState& client) {
+  if (!client.conn->is_open()) return;
+  enforce_queue_cap(client);
+  flush_client(client);
+  if (client.conn->is_open() && (client.poll_always || !client.out.empty())) {
+    mark_ready(client);
+  }
 }
 
 void Daemon::reap_closed() {
@@ -772,16 +792,29 @@ void Daemon::teardown_client(ClientState& client) {
 void Daemon::poll() {
   if (library_ == nullptr || shut_down_) return;
   accept_pending();
-  for (const auto& client : clients_) {
-    if (!client->conn->is_open()) continue;
-    drain_client(*client);
+  // Take the ready list first: a hook that fires while this pass runs
+  // lands in the fresh ready_ and is served by the next poll().
+  visit_ids_.swap(ready_);
+  ready_.clear();
+  // Ids ascend in clients_ order, so this is the full walk minus the
+  // clients that had nothing to read or write.
+  std::sort(visit_ids_.begin(), visit_ids_.end());
+  // Nothing is reaped before the end of the pass, so the states stay put.
+  visit_.clear();
+  for (const std::uint32_t id : visit_ids_) {
+    const auto it = clients_by_id_.find(id);
+    if (it != clients_by_id_.end()) visit_.push_back(it->second);
   }
-  for (const auto& client : clients_) {
-    if (!client->conn->is_open()) continue;
-    enforce_queue_cap(*client);
-    flush_client(*client);
+  for (ClientState* client : visit_) {
+    client->ready = false;
+    if (client->conn->is_open()) drain_client(*client);
   }
-  reap_closed();
+  bool closed = false;
+  for (ClientState* client : visit_) {
+    flush_pending(*client);
+    closed = closed || !client->conn->is_open();
+  }
+  if (closed) reap_closed();
 }
 
 void Daemon::deliver(const std::vector<std::vector<std::uint8_t>>& templates,
@@ -1210,11 +1243,7 @@ void Daemon::tick() {
     }
   }
 
-  for (const auto& client : clients_) {
-    if (!client->conn->is_open()) continue;
-    enforce_queue_cap(*client);
-    flush_client(*client);
-  }
+  for (const auto& client : clients_) flush_pending(*client);
   reap_closed();
 }
 
@@ -1238,6 +1267,7 @@ void Daemon::shutdown() {
   }
   clients_.clear();
   clients_by_id_.clear();
+  ready_.clear();
   // Downstream legs: a polite Close releases the subscriptions we hold
   // on the next daemon down the tree.
   for (Downstream& link : downstreams_) {

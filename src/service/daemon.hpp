@@ -7,7 +7,10 @@
 // deterministically:
 //
 //   poll() — accept pending connections, drain client bytes, dispatch
-//            complete frames, flush send queues. Never blocks.
+//            complete frames, flush send queues. Never blocks, and
+//            visits only the clients with something to do (see
+//            poll() below), so its cost follows activity, not the
+//            number of connected clients.
 //   tick() — one sampling tick: read every *distinct* shared
 //            subscription once and fan the sample out to all of its
 //            subscribers. Also runs idle-timeout and backpressure
@@ -166,7 +169,16 @@ class Daemon {
   void add_downstream(std::unique_ptr<Client> client,
                       ConnectionFactory factory = {});
 
+  /// Serve the clients that have work: those whose connection fired
+  /// its notify_readable() hook since their last drain, those whose
+  /// connection cannot tell (polled every time), newly accepted ones,
+  /// and those with output a previous flush could not finish. They
+  /// are drained, then flushed, in client-id order — the clients_
+  /// order — so every byte stream matches a visit of every client.
+  /// Hooks that fire while the pass runs (a nested pump) are served
+  /// by the next poll(). An idle client that can signal costs nothing.
   void poll();
+  /// One sampling tick; ends with a flush and reap of every client.
   void tick();
 
   /// Graceful drain: Goodbye to every client, bounded flush, close all
@@ -259,6 +271,10 @@ class Daemon {
     std::size_t shard = 0;
     std::unique_ptr<Connection> conn;
     FrameReader reader;
+    /// The connection cannot signal readiness: poll() visits it always.
+    bool poll_always = false;
+    /// On ready_, so the next poll() visits it.
+    bool ready = false;
     bool hello_done = false;
     /// Flush-then-close: set after Close/Goodbye.
     bool closing = false;
@@ -296,6 +312,11 @@ class Daemon {
   /// wedge the caller.
   void flush_client(ClientState& client, std::size_t max_ops = 0);
   void enforce_queue_cap(ClientState& client);
+  /// Put a client on ready_ once.
+  void mark_ready(ClientState& client);
+  /// Cap and flush one client; keep it on ready_ while the next poll()
+  /// cannot skip it (output left, or a connection that cannot signal).
+  void flush_pending(ClientState& client);
   void reap_closed();
   /// Re-dial, re-handshake, and re-subscribe dead downstream legs that
   /// have a factory and are past their backoff deadline.
@@ -371,6 +392,13 @@ class Daemon {
   /// The fan-out index: client id -> state, so delivery is O(1) per
   /// frame instead of a linear scan over every connected client.
   std::unordered_map<std::uint32_t, ClientState*> clients_by_id_;
+  /// Ids of the clients the next poll() visits, each once: new ones,
+  /// ones whose hook fired, ones that cannot signal and ones with
+  /// output left. An id whose client has gone is skipped.
+  std::vector<std::uint32_t> ready_;
+  /// poll()'s visit list, by id and resolved; kept for capacity reuse.
+  std::vector<std::uint32_t> visit_ids_;
+  std::vector<ClientState*> visit_;
   std::map<std::uint32_t, SharedSubscription> shared_subs_;  // by key_id
   std::map<std::string, std::uint32_t> key_ids_;             // key -> key_id
   std::vector<Downstream> downstreams_;

@@ -148,6 +148,9 @@ class FaultyTransport {
     Connection* inner_raw = nullptr;
   };
 
+  /// Keeps the default notify_readable() (poll every time) on purpose:
+  /// an injected EAGAIN or stall reports 0 while bytes are pending, and
+  /// a forwarded edge-triggered hook would leave those bytes stranded.
   class FaultyConnection final : public Connection {
    public:
     FaultyConnection(TransportFaultProfile profile,

@@ -168,7 +168,7 @@ Expected<Frame> FrameReader::next() {
   }
   const std::size_t available = buffer_.size() - consumed_;
   if (available < 4) {
-    return make_error(StatusCode::kNotFound, "no complete frame");
+    return make_error(StatusCode::kNotFound);
   }
   std::uint32_t length = 0;
   for (int i = 0; i < 4; ++i) {
@@ -181,7 +181,7 @@ Expected<Frame> FrameReader::next() {
     return make_error(StatusCode::kInvalidArgument, "bad frame length");
   }
   if (available < 4 + static_cast<std::size_t>(length)) {
-    return make_error(StatusCode::kNotFound, "no complete frame");
+    return make_error(StatusCode::kNotFound);
   }
   Frame frame;
   frame.type = static_cast<MsgType>(buffer_[consumed_ + 4]);

@@ -196,7 +196,8 @@ class FrameReader {
     feed(bytes.data(), bytes.size());
   }
 
-  /// kOk with a frame, kNotFound when no complete frame is buffered,
+  /// kOk with a frame, kNotFound when no complete frame is buffered
+  /// (with no message, so an empty drain allocates nothing),
   /// kInvalidArgument when the stream is corrupt (oversized or empty
   /// length prefix).
   Expected<Frame> next();

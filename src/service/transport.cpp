@@ -51,6 +51,7 @@ Expected<std::size_t> LoopbackTransport::Endpoint::send(
     accept_bytes = std::min(accept_bytes, room);
   }
   pipe.bytes.insert(pipe.bytes.end(), data, data + accept_bytes);
+  if (accept_bytes > 0 && pipe.on_readable) pipe.on_readable();
   return accept_bytes;
 }
 
@@ -83,7 +84,16 @@ Expected<std::size_t> LoopbackTransport::Endpoint::receive(
 void LoopbackTransport::Endpoint::close() {
   if (!open_) return;
   open_ = false;
-  outgoing().writer_closed = true;
+  incoming().on_readable = nullptr;
+  Pipe& pipe = outgoing();
+  pipe.writer_closed = true;
+  if (pipe.on_readable) pipe.on_readable();
+}
+
+bool LoopbackTransport::Endpoint::notify_readable(std::function<void()> hook) {
+  if (!open_) return false;
+  incoming().on_readable = std::move(hook);
+  return true;
 }
 
 // --- unix domain sockets ---------------------------------------------------

@@ -10,7 +10,9 @@
 //    RPC works single-threaded. Delivery can be chunked to a fixed size
 //    to exercise partial-frame reassembly, and a peer can be paused to
 //    simulate a slow client (send() then reports would-block, letting
-//    the daemon's backpressure machinery build a queue).
+//    the daemon's backpressure machinery build a queue). Endpoints
+//    support notify_readable(), so the daemon visits only the
+//    connections that have something to say.
 //
 //  * UnixSocketTransport — AF_UNIX SOCK_STREAM for real multi-process
 //    use, with EINTR-safe accept/read/write loops and nonblocking
@@ -45,6 +47,26 @@ class Connection {
 
   virtual void close() = 0;
   virtual bool is_open() const = 0;
+
+  /// Readiness: ask to have `hook` called whenever this connection may
+  /// have become readable — the peer sent bytes or closed. Returns true
+  /// when the connection will keep that promise; the caller may then
+  /// skip receive() until the hook fires (the daemon's poll() does).
+  /// The default returns false: "cannot tell, poll me every time".
+  ///
+  /// Return true only when every byte the peer sends, and its close,
+  /// fire the hook, and receive() then returns everything pending until
+  /// it reports 0. The hook is edge-triggered, so a connection whose
+  /// receive() may report 0 while bytes are still pending — a decorator
+  /// that injects EAGAIN bursts or stalls, say — must keep the default:
+  /// nothing would fire again for the stranded bytes. Implementations
+  /// drop the hook on close() and destruction, so a peer that outlives
+  /// the registrant never calls into freed state. The hook must not
+  /// call back into this connection.
+  virtual bool notify_readable(std::function<void()> hook) {
+    (void)hook;
+    return false;
+  }
 };
 
 class Listener {
@@ -95,6 +117,9 @@ class LoopbackTransport {
     std::deque<std::uint8_t> bytes;
     bool writer_closed = false;
     bool paused = false;
+    /// The reader's notify_readable() hook; the writer fires it on every
+    /// send that queues bytes and on close.
+    std::function<void()> on_readable;
   };
   struct Link {
     Pipe to_server;  // client writes, server reads
@@ -113,6 +138,7 @@ class LoopbackTransport {
     Expected<std::size_t> receive(std::vector<std::uint8_t>& out) override;
     void close() override;
     bool is_open() const override { return open_; }
+    bool notify_readable(std::function<void()> hook) override;
 
    private:
     Pipe& outgoing() { return is_client_ ? link_->to_server : link_->to_client; }

@@ -78,7 +78,7 @@ TEST(ServiceProto, ReaderRejectsTruncationAndStaysPoisoned) {
   Writer w;
   w.str("truncate me");
   std::vector<std::uint8_t> bytes = w.take();
-  bytes.resize(bytes.size() - 3);
+  bytes.erase(bytes.end() - 3, bytes.end());
   Reader r(bytes);
   auto s = r.str();
   ASSERT_FALSE(s.has_value());
@@ -176,7 +176,7 @@ TEST(ServiceProto, SampleRoundTripsThreePerCoreTypeParts) {
   // A truncated third part poisons the decode instead of silently
   // yielding a two-part frame.
   auto bytes = sample.encode();
-  bytes.resize(bytes.size() - 5);
+  bytes.erase(bytes.end() - 5, bytes.end());
   Frame cut;
   cut.type = MsgType::kSample;
   cut.payload = std::move(bytes);
